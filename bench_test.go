@@ -1,15 +1,17 @@
 package perfilter
 
 // One benchmark per table and figure of the paper's evaluation (§6), plus
-// the ablations DESIGN.md calls out. Each benchmark drives the shared
+// ablations that vary one mechanism at a time (magic vs power-of-two
+// addressing, batch width, cuckoo bucket size, sub-word sectors, classic
+// short-circuiting). Each benchmark drives the shared
 // experiment runners in internal/bench (the cmd/filter-* tools run the
 // same code at higher measurement effort) and prints the regenerated
 // table/series once, so
 //
 //	go test -bench=. -benchmem
 //
-// both measures the harness and emits every reproduced artifact.
-// EXPERIMENTS.md records how each output compares to the paper.
+// both measures the harness and emits every reproduced artifact, to be
+// read against the paper's figure or table of the same number.
 
 import (
 	"fmt"
@@ -177,7 +179,7 @@ func BenchmarkFig15BatchSpeedup(b *testing.B) {
 	}
 }
 
-// ---- Ablation benches (DESIGN.md §6) ----
+// ---- Ablation benches: one mechanism varied at a time ----
 
 // BenchmarkAblationMagicVsPow2 isolates the magic-modulo overhead on the
 // register-blocked filter (the paper's §5.2 "modest overhead" claim).

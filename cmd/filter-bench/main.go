@@ -156,7 +156,7 @@ func main() {
 			series = bench.Fig14LookupScaling(1<<16, bigBits, eff)
 			fmt.Print(bench.Format(series))
 		case "15":
-			fmt.Println("# Figure 15: batch-kernel speedups (host; see EXPERIMENTS.md for the SIMD gap)")
+			fmt.Println("# Figure 15: batch-kernel speedups (host; package simd explains the SIMD gap)")
 			fig15 = bench.Fig15BatchSpeedup(eff)
 			fmt.Print(bench.FormatFig15(fig15))
 		case "kernels":

@@ -8,7 +8,8 @@
 // cycles via the platform package's calibrated cycle rate. Analytic
 // experiments (Figs. 1, 3, 4, 7, 8, 10-13) evaluate the fpr/model packages
 // and can additionally be parameterized with the paper's Table 1 platform
-// presets. EXPERIMENTS.md records how each output compares to the paper.
+// presets. Each output is read against the paper's figure or table of the
+// same number; package simd explains why measured SIMD speedups are smaller.
 package bench
 
 import (

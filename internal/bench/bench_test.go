@@ -175,7 +175,7 @@ func TestFig5Measured(t *testing.T) {
 	}
 	// The paper's ≈2× sectorization advantage at 16 words is a SIMD-gather
 	// phenomenon; branch-free scalar kernels run the two layouts at parity
-	// (EXPERIMENTS.md, Figure 5). The reproducible assertions: both curves
+	// (see package simd). The reproducible assertions: both curves
 	// decline from one word to a full cache line, and sectorized stays
 	// within parity bounds of one-sector blocked at 16 words.
 	last := len(series[0].Y) - 1

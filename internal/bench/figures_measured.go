@@ -172,8 +172,8 @@ type Fig15Row struct {
 // Fig15BatchSpeedup reproduces Figure 15 on the host: the batched
 // ("software SIMD") kernels against one-key-at-a-time lookups for the three
 // representative filters. The paper's hardware-SIMD speedups reach 10×;
-// pure-Go batching is bounded by loop/branch amortization — EXPERIMENTS.md
-// discusses the gap.
+// pure-Go batching is bounded by loop/branch amortization — package simd
+// explains the gap.
 func Fig15BatchSpeedup(eff Effort) []Fig15Row {
 	const mBits = 16 << 10 * 8 // 16 KiB, L1-resident
 	h := host()

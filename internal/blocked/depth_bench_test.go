@@ -12,32 +12,46 @@ import (
 // generic bit-walk kernel at batch lengths straddling every pipeline
 // boundary (empty, sub-depth, exact multiples, off-by-one around them),
 // so a depth change can never silently break the remainder loop or the
-// group-ahead mask precompute.
+// group-ahead mask precompute. Each configuration also pins the kernel
+// ContainsBatch dispatches to: the registry's default geometry must reach
+// the specialised kernel, so the fast path cannot silently fall back, and
+// the non-default cache-sectorized geometries keep the general kernel
+// covered.
 func TestPipelinedKernelsMatchGeneric(t *testing.T) {
+	// The registry default (magic addressing) and its power-of-two twin.
+	pow2Default := DefaultParams()
+	pow2Default.Magic = false
 	configs := []struct {
 		name   string
 		p      Params
 		unroll int
+		kernel kernelID
 	}{
-		{"register", RegisterBlockedParams(64, 8, false), registerUnroll},
-		{"register-magic", RegisterBlockedParams(32, 4, true), registerUnroll},
-		{"cachesec", CacheSectorizedParams(64, 512, 2, 8, false), cacheUnroll},
-		{"cachesec-magic", CacheSectorizedParams(64, 512, 2, 8, true), cacheUnroll},
+		{"register", RegisterBlockedParams(64, 8, false), registerUnroll, kernelRegister},
+		{"register-magic", RegisterBlockedParams(32, 4, true), registerUnroll, kernelRegister},
+		{"cachesec", pow2Default, cacheUnroll, kernelCacheSectorizedZ2K8},
+		{"cachesec-magic", DefaultParams(), cacheUnroll, kernelCacheSectorizedZ2K8},
+		{"cachesec-B256", CacheSectorizedParams(64, 256, 2, 8, false), cacheUnroll, kernelCacheSectorizedZ2K8},
+		{"cachesec-z4", CacheSectorizedParams(64, 512, 4, 8, false), cacheUnroll, kernelCacheSectorized},
+		{"cachesec-k12", CacheSectorizedParams(64, 512, 2, 12, true), cacheUnroll, kernelCacheSectorized},
+		{"cachesec-W32-magic", CacheSectorizedParams(32, 512, 2, 8, true), cacheUnroll, kernelCacheSectorized},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			if cfg.unroll < simd.Width {
 				t.Fatalf("pipeline depth %d below simd.Width=%d", cfg.unroll, simd.Width)
 			}
-			pr, err := New(cfg.p, 1<<16)
+			// About 8 bits per inserted key: dense enough that absent
+			// keys also hit, so a wrong mask or word test shows.
+			pr, err := New(cfg.p, 1<<14)
 			if err != nil {
 				t.Fatal(err)
 			}
 			switch f := pr.(type) {
 			case *Filter[uint32]:
-				checkGenericParity(t, f, cfg.unroll)
+				checkGenericParity(t, f, cfg.unroll, cfg.kernel)
 			case *Filter[uint64]:
-				checkGenericParity(t, f, cfg.unroll)
+				checkGenericParity(t, f, cfg.unroll, cfg.kernel)
 			default:
 				t.Fatalf("unexpected probe type %T", pr)
 			}
@@ -45,17 +59,28 @@ func TestPipelinedKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
-func checkGenericParity[W Word](t *testing.T, f *Filter[W], u int) {
+func checkGenericParity[W Word](t *testing.T, f *Filter[W], u int, kernel kernelID) {
 	t.Helper()
+	if f.kernel != kernel {
+		t.Fatalf("%v dispatches to kernel %d, want %d", f.params, f.kernel, kernel)
+	}
 	r := rng.NewMT19937(11)
-	for i := 0; i < 2000; i++ {
-		f.Insert(r.Uint32())
+	inserted := make([]uint32, 2000)
+	for i := range inserted {
+		inserted[i] = r.Uint32()
+		f.Insert(inserted[i])
 	}
 	lens := []int{0, 1, u - 1, u, u + 1, 2*u - 1, 2 * u, 2*u + 1, 3*u + 3, 1024}
 	for _, n := range lens {
+		// Every even position probes an inserted key, so at least half
+		// the batch is present and both answers are exercised.
 		keys := make([]uint32, n)
 		for i := range keys {
-			keys[i] = r.Uint32()
+			if i%2 == 0 {
+				keys[i] = inserted[r.Uint32()%uint32(len(inserted))]
+			} else {
+				keys[i] = r.Uint32()
+			}
 		}
 		got := f.ContainsBatch(keys, nil)
 		wantBuf := make([]uint32, n)
@@ -69,6 +94,9 @@ func checkGenericParity[W Word](t *testing.T, f *Filter[W], u int) {
 				t.Fatalf("n=%d: position %d: pipelined %d, generic %d", n, i, got[i], want[i])
 			}
 		}
+		if present := (n + 1) / 2; len(got) < present {
+			t.Fatalf("n=%d: %d hits, fewer than the %d present keys", n, len(got), present)
+		}
 	}
 }
 
@@ -81,7 +109,7 @@ func BenchmarkPipelineDepth(b *testing.B) {
 		p    Params
 	}{
 		{"register", RegisterBlockedParams(64, 8, false)},
-		{"cachesec", CacheSectorizedParams(64, 512, 2, 8, true)},
+		{"cachesec", DefaultParams()},
 	}
 	for _, size := range []uint64{1 << 17, 1 << 26, 1 << 29} {
 		for _, cfg := range configs {

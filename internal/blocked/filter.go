@@ -84,6 +84,8 @@ type Filter[W Word] struct {
 	chunksPerGroup uint32         // chunk draws per group
 	groupMask      uint32         // secPerGroup − 1
 	chunkMask      uint32         // (1 << chunkBits) − 1
+
+	kernel kernelID // batch kernel, fixed by the configuration
 }
 
 // drawLoc addresses one hash-bit draw: bits [shift, shift+width) of hash
@@ -131,6 +133,7 @@ func newFilter[W Word](p Params, mBits uint64) (*Filter[W], error) {
 	f.groupMask = f.secPerGroup - 1
 	f.chunkMask = uint32(1)<<f.chunkBits - 1
 	f.buildPlan()
+	f.kernel = f.selectKernel()
 
 	blocks := (mBits + uint64(p.BlockBits) - 1) / uint64(p.BlockBits)
 	if blocks == 0 {

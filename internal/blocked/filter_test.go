@@ -416,6 +416,7 @@ func BenchmarkVariants(b *testing.B) {
 		SectorizedParams(32, 512, 16, false),
 		CacheSectorizedParams(32, 512, 2, 8, false),
 		CacheSectorizedParams(32, 512, 2, 8, true),
+		DefaultParams(), // the specialised cache-sectorized kernel
 		PlainBlockedParams(64, 512, 8, false),
 	}
 	for _, p := range configs {

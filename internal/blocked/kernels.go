@@ -7,6 +7,24 @@ import (
 	"perfilter/internal/simd"
 )
 
+// Batch probe kernels. The paper compiles one branch-free function per
+// filter configuration (§5); here ContainsBatch switches once per batch on
+// a kernel chosen at construction from the filter's own Params
+// (selectKernel):
+//
+//   - batchRegister: register-blocked, one word per key;
+//   - batchCacheSectorizedZ2K8: the registry's default cache-sectorized
+//     geometry (W = S = 64, z = 2, k = 8, DefaultParams) with both
+//     addressing modes, its draw plan hoisted into shifts and its four
+//     field extractions per group unrolled;
+//   - batchCacheSectorized: every other cache-sectorized geometry with
+//     word-sized sectors;
+//   - batchSectorized: z == s with word-sized sectors;
+//   - batchGeneric: everything else, and the reference every other kernel
+//     is pinned to by TestPipelinedKernelsMatchGeneric.
+//
+// All kernels return exactly what Contains returns per key.
+
 // Software-pipeline depths of the batch kernels: hashes, block addresses
 // and search masks for this many keys are computed before the
 // corresponding words are loaded and tested, mirroring the paper's
@@ -26,30 +44,72 @@ import (
 // groups ahead of the load phase.
 const (
 	registerUnroll = 2 * simd.Width // batchRegister
-	cacheUnroll    = 2 * simd.Width // batchCacheSectorized
+	cacheUnroll    = 2 * simd.Width // both cache-sectorized kernels
 )
 
 // ContainsBatch appends to sel the positions of the keys that may be
-// contained and returns the extended selection vector. The kernel is
-// selected once per batch (the paper compiles one branch-free function per
-// configuration; we hoist the dispatch out of the loop instead). Results
+// contained and returns the extended selection vector. The kernel is fixed
+// at construction and dispatched once per batch, never per key. Results
 // are bit-identical to calling Contains per key.
 //
 // len(keys) must fit in a uint32 position; callers batch at vector
 // granularity (core.DefaultBatch) in practice.
 func (f *Filter[W]) ContainsBatch(keys []core.Key, sel core.SelVec) core.SelVec {
 	buf, cnt := simd.GrowSel(sel, len(keys))
-	switch {
-	case f.params.Variant() == RegisterBlocked:
+	switch f.kernel {
+	case kernelRegister:
 		cnt = f.batchRegister(keys, buf, cnt)
-	case f.params.SectorBits == f.wordBits && f.secPerGroup > 1:
+	case kernelCacheSectorizedZ2K8:
+		cnt = f.batchCacheSectorizedZ2K8(keys, buf, cnt)
+	case kernelCacheSectorized:
 		cnt = f.batchCacheSectorized(keys, buf, cnt)
-	case f.params.SectorBits == f.wordBits && f.secPerGroup == 1:
+	case kernelSectorized:
 		cnt = f.batchSectorized(keys, buf, cnt)
 	default:
 		cnt = f.batchGeneric(keys, buf, cnt)
 	}
 	return buf[:cnt]
+}
+
+// kernelID names the batch kernel ContainsBatch runs for a filter.
+type kernelID uint8
+
+const (
+	kernelGeneric             kernelID = iota // batchGeneric
+	kernelRegister                            // batchRegister
+	kernelSectorized                          // batchSectorized
+	kernelCacheSectorized                     // batchCacheSectorized
+	kernelCacheSectorizedZ2K8                 // batchCacheSectorizedZ2K8
+)
+
+// selectKernel picks the batch kernel from the filter's own geometry and
+// draw plan, once at construction. The specialised cache-sectorized kernel
+// takes the registry's default geometry (W = S = 64, z = 2, k = 8, any
+// block size and either addressing mode) whenever its fixed draw layout
+// holds; every other word-sector configuration runs the general kernels.
+func (f *Filter[W]) selectKernel() kernelID {
+	switch {
+	case f.params.Variant() == RegisterBlocked:
+		return kernelRegister
+	case f.params.SectorBits != f.wordBits:
+		return kernelGeneric
+	case f.secPerGroup == 1:
+		return kernelSectorized
+	case f.wordBits == 64 && f.groups == 2 && f.kPerGroup == 4 && f.planIsZ2K8():
+		return kernelCacheSectorizedZ2K8
+	default:
+		return kernelCacheSectorized
+	}
+}
+
+// planIsZ2K8 reports whether the draw plan has the layout
+// batchCacheSectorizedZ2K8 hard-codes: one 24-bit chunk per group, the
+// block address, both sector selects and group 0's chunk in hash word 0,
+// and group 1's chunk in hash word 1.
+func (f *Filter[W]) planIsZ2K8() bool {
+	return f.chunksPerGroup == 1 && f.chunkBits == 24 && f.planWords == 2 &&
+		f.blockLoc.word == 0 && f.secLoc[0].word == 0 && f.chunkLoc[0][0].word == 0 &&
+		f.secLoc[1].word == 0 && f.chunkLoc[1][0].word == 1
 }
 
 // batchRegister is the register-blocked kernel (Listing 2): one word load
@@ -206,6 +266,73 @@ func (f *Filter[W]) batchCacheSectorized(keys []core.Key, out []uint32, cnt int)
 				m := mask[l][gi]
 				missing |= w&m ^ m
 			}
+			out[cnt] = uint32(i + l)
+			var inc int
+			if missing == 0 {
+				inc = 1
+			}
+			cnt += inc
+		}
+	}
+	for ; i < n; i++ {
+		out[cnt] = uint32(i)
+		var inc int
+		if f.Contains(keys[i]) {
+			inc = 1
+		}
+		cnt += inc
+	}
+	return cnt
+}
+
+// batchCacheSectorizedZ2K8 is batchCacheSectorized specialised to the
+// registry's default geometry (selectKernel): W = S = 64, z = 2 and k = 8,
+// so each group's k/z = 4 bit addresses come from one 24-bit chunk, and a
+// key needs two hash words. The plan's shifts are hoisted into locals once
+// per batch and the four field extractions are unrolled, leaving no
+// per-field loop or hash-word indexing in the compute phase.
+func (f *Filter[W]) batchCacheSectorizedZ2K8(keys []core.Key, out []uint32, cnt int) int {
+	var (
+		n        = len(keys)
+		words    = f.words
+		wpb      = uint64(f.wordsPerBlock)
+		g        = uint64(f.secPerGroup)
+		gMask    = f.groupMask
+		useMagic = f.params.Magic
+		dv       = f.dv
+		bMask    = f.blockMask
+		bShift   = f.blockLoc.shift
+		s0Shift  = f.secLoc[0].shift
+		c0Shift  = f.chunkLoc[0][0].shift
+		s1Shift  = f.secLoc[1].shift
+		c1Shift  = f.chunkLoc[1][0].shift
+		widx     [cacheUnroll][2]uint64
+		mask     [cacheUnroll][2]W
+	)
+	i := 0
+	for ; i+cacheUnroll <= n; i += cacheUnroll {
+		for l := 0; l < cacheUnroll; l++ {
+			key := keys[i+l]
+			h0 := hashing.Mult64(key)
+			h1 := rng.Mix64(uint64(key) + hashing.Golden64)
+			h := uint32(h0 >> bShift)
+			var block uint32
+			if useMagic {
+				block = dv.Mod(h)
+			} else {
+				block = h & bMask
+			}
+			base := uint64(block) * wpb
+			c0 := uint32(h0 >> c0Shift)
+			c1 := uint32(h1 >> c1Shift)
+			widx[l][0] = base + uint64(uint32(h0>>s0Shift)&gMask)
+			widx[l][1] = base + g + uint64(uint32(h0>>s1Shift)&gMask)
+			mask[l][0] = W(1)<<(c0>>18&63) | W(1)<<(c0>>12&63) | W(1)<<(c0>>6&63) | W(1)<<(c0&63)
+			mask[l][1] = W(1)<<(c1>>18&63) | W(1)<<(c1>>12&63) | W(1)<<(c1>>6&63) | W(1)<<(c1&63)
+		}
+		for l := 0; l < cacheUnroll; l++ {
+			m0, m1 := mask[l][0], mask[l][1]
+			missing := (words[widx[l][0]]&m0 ^ m0) | (words[widx[l][1]]&m1 ^ m1)
 			out[cnt] = uint32(i + l)
 			var inc int
 			if missing == 0 {

@@ -214,6 +214,11 @@ func CacheSectorizedParams(wordBits, blockBits, z, k uint32, useMagic bool) Para
 	}
 }
 
+// DefaultParams is the paper's cache-sectorized headline configuration
+// (B=512, S=W=64, z=2, k=8, magic addressing). It is the registry's
+// default bloom geometry, and batchCacheSectorizedZ2K8 is specialised to it.
+func DefaultParams() Params { return CacheSectorizedParams(64, 512, 2, 8, true) }
+
 func isPow2(x uint32) bool { return x != 0 && x&(x-1) == 0 }
 
 func log2u32(x uint32) uint32 { return uint32(bits.Len32(x)) - 1 }

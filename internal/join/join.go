@@ -10,7 +10,8 @@
 //
 // The per-tuple work between scan and probe is generated by a calibrated
 // ALU spin (workload.Work), standing in for decompression, expression
-// evaluation, or exchange costs; see DESIGN.md §4.
+// evaluation, or exchange costs, so tw is a tunable input rather than a
+// property of one query engine.
 package join
 
 import (

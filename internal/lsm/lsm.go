@@ -11,7 +11,7 @@
 // they are merged (full compaction). Deletes are tombstones. The storage
 // device is simulated by a calibrated ALU spin per run probed
 // (workload.Work), so experiments measure real elapsed time with a tunable
-// tw, per DESIGN.md §4.
+// tw that does not depend on the host's storage device.
 package lsm
 
 import (

@@ -99,3 +99,45 @@ func TestMisaligned(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeInterior pins which part of an allocation is advised toward huge
+// pages: exactly the whole 2 MiB-aligned pages inside it, so a buffer
+// smaller than one huge page is never advised and one of at least two
+// huge pages always is, wherever the allocator places it.
+func TestHugeInterior(t *testing.T) {
+	const base = 64 * hugePage
+	for _, off := range []uintptr{0, 8, CacheLine, 4096, hugePage / 2, hugePage - 8} {
+		addr := base + off
+		for _, size := range []uintptr{0, 1, CacheLine, 1 << 20, hugePage - 1} {
+			if lo, hi := hugeInterior(addr, size); lo != hi {
+				t.Errorf("addr+%d size %d: advised [%#x, %#x), want nothing", off, size, lo, hi)
+			}
+		}
+		for _, size := range []uintptr{2 * hugePage, 4 << 20, 5<<20 + 3, 64 << 20} {
+			lo, hi := hugeInterior(addr, size)
+			if lo >= hi || lo%hugePage != 0 || hi%hugePage != 0 || lo < addr || hi > addr+size {
+				t.Errorf("addr+%d size %d: advised [%#x, %#x), want aligned non-empty interior", off, size, lo, hi)
+			}
+			if lo-addr >= hugePage || addr+size-hi >= hugePage {
+				t.Errorf("addr+%d size %d: advised [%#x, %#x) leaves a whole huge page out", off, size, lo, hi)
+			}
+		}
+	}
+	if lo, hi := hugeInterior(base, hugePage); hi-lo != hugePage {
+		t.Errorf("one aligned huge page: advised [%#x, %#x)", lo, hi)
+	}
+}
+
+// Alignment holds on both sides of the huge-page threshold, for real
+// storage and for the misaligned control arm.
+func TestAlignedAcrossHugeThreshold(t *testing.T) {
+	for _, bytes := range []int{hugePage / 2, 4 << 20} {
+		n := bytes / 8
+		if s := Aligned[uint64](n); len(s) != n || !IsAligned(s) {
+			t.Errorf("Aligned(%d bytes): len %d, aligned %v", bytes, len(s), IsAligned(s))
+		}
+		if s := Misaligned[uint64](n); len(s) != n || addrOf(s)%CacheLine != 8 {
+			t.Errorf("Misaligned(%d bytes): len %d, addr %% %d = %d", bytes, len(s), CacheLine, addrOf(s)%CacheLine)
+		}
+	}
+}

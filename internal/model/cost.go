@@ -17,8 +17,9 @@ type CostModel interface {
 
 // Machine is the analytic cost model: a simulated platform described by its
 // cache hierarchy, effective access costs, and SIMD capability. It stands
-// in for the hardware of the paper's Table 1 (see DESIGN.md §4,
-// substitution 2). All latency fields are *effective* cycles per random
+// in for the hardware of the paper's Table 1, which a reproduction cannot
+// assume it runs on; calibrate.MeasuredModel (the filter-calibrate CLI)
+// measures the actual host instead. All latency fields are *effective* cycles per random
 // cache-line access under the memory-level parallelism of a batched kernel,
 // not raw load-to-use latencies.
 type Machine struct {

@@ -8,7 +8,7 @@
 // each iteration carries a data dependency, so modern cores retire almost
 // exactly one iteration per cycle, making elapsed-nanoseconds → cycles a
 // stable conversion without access to the TSC (which pure Go cannot read
-// portably — see DESIGN.md §4, substitution 5).
+// without assembly, and this module has none).
 package platform
 
 import (

@@ -7,8 +7,9 @@
 // per-message and per-byte cost accounting; the work saved per suppressed
 // tuple (serialization + transfer + remote probe) corresponds to a large tw
 // in the paper's model — one of the mid-range reference points in Figure 1
-// ("tuple over network, amortized"). See DESIGN.md §4 for the simulation
-// rationale.
+// ("tuple over network, amortized"). The network is simulated so the
+// experiment runs on one host, with a tw set by the cost accounting rather
+// than by whatever network the host happens to have.
 package semijoin
 
 import (

@@ -15,8 +15,10 @@
 //   - per-batch dispatch replaces the paper's per-configuration template
 //     instantiation: the kernel switch happens once per batch, never per key.
 //
-// DESIGN.md §4 documents why this substitution preserves the paper's
-// relative shapes while compressing absolute SIMD speedups.
+// The substitution preserves the paper's relative shapes (batching still
+// overlaps independent cache misses, and the selection-vector interface is
+// the same) while compressing absolute SIMD speedups, because each lane's
+// arithmetic still runs as scalar instructions.
 package simd
 
 // Width is the software pipeline width of the batch kernels: the number of

@@ -17,9 +17,7 @@ var _ = registry.Register(registry.Descriptor{
 	Name:      "bloom",
 	Aliases:   []string{""},
 	WireMagic: blocked.WireMagic,
-	Default: model.Config{Kind: model.KindBlockedBloom, Bloom: blocked.Params{
-		WordBits: 64, BlockBits: 512, SectorBits: 64, Z: 2, K: 8, Magic: true,
-	}},
+	Default:   model.Config{Kind: model.KindBlockedBloom, Bloom: blocked.DefaultParams()},
 	New: func(mc model.Config, mBits uint64) (registry.Filter, error) {
 		f, err := blocked.New(mc.Bloom, mBits)
 		if err != nil {
