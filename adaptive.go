@@ -13,7 +13,7 @@ import (
 )
 
 // Control-loop instrumentation, on the process-wide registry: how often
-// the tuner evaluates, how often hysteresis holds it back, and which
+// the control loop evaluates, how often hysteresis holds it back, and which
 // kind→kind migrations actually happen. Migration counts are labeled by
 // (from, to) so a flapping filter shows up as paired bloom→cuckoo /
 // cuckoo→bloom increments instead of hiding inside one total.
@@ -44,20 +44,11 @@ type AdaptiveOptions struct {
 	// Policy is the migration hysteresis rule (zero fields get defaults:
 	// 15% margin, 1024 min inserts).
 	Policy adaptive.Policy
-	// Interval, when positive, starts a background tuner that calls
-	// Reoptimize on this period. Zero means the caller drives the loop
-	// (Reoptimize / the server's autotuner).
-	Interval time.Duration
 	// Shards is the sharded wrapper's partition count (<= 0 picks the host
 	// default, as NewSharded does).
 	Shards int
 	// MaxDecisions bounds the retained decision history (default 64).
 	MaxDecisions int
-	// DisableKeyLog turns off the insert log. The filter then still tracks
-	// the workload and serves advice, but cannot migrate: approximate
-	// filters cannot enumerate their keys, so without the log there is no
-	// lossless replay source.
-	DisableKeyLog bool
 	// DisableAutoGrow turns off the ErrFull emergency migration, so cuckoo
 	// saturation surfaces to the caller instead of growing the filter in
 	// place. The filter server sets this: its memory budget accounting owns
@@ -90,28 +81,28 @@ type Adaptive struct {
 	s     *Sharded
 	opts  AdaptiveOptions
 	stats adaptive.Stats
-	tuner adaptive.Tuner
 
-	// log is the current key-log epoch (nil pointer when DisableKeyLog).
-	// Clearing operations (Rotate, Reset) swap in a fresh log rather than
-	// truncating in place, and writers re-check the pointer after their
-	// insert — the log-side mirror of the sharded dual-write window, so a
-	// write racing a clear can never be in the filter but missing from the
-	// log (the log stays a conservative superset; see internal/adaptive).
+	// log is the current key-log epoch. Clearing operations (Rotate,
+	// Reset) swap in a fresh log rather than truncating in place, and
+	// writers re-check the pointer after their insert — the log-side
+	// mirror of the sharded dual-write window, so a write racing a clear
+	// can never be in the filter but missing from the log (the log stays
+	// a conservative superset; see internal/adaptive).
 	log atomic.Pointer[adaptive.KeyLog]
 
 	// logComplete reports that the key log covers every key the filter
-	// holds. It is false for filters restored from a snapshot that carried
-	// no log; migration is refused until the next Reset clears both.
+	// holds. It is false for a populated filter wrapped by NewAdaptiveFrom
+	// and for one restored from a snapshot that carried no complete log;
+	// migration is refused until the next Reset or Rotate clears both.
 	logComplete atomic.Bool
 
 	// mu serializes re-optimization, migration, rotation and reset.
 	mu            sync.Mutex
 	lastMigration time.Time
-	// trace is the fixed-size ring buffer of re-optimization decisions
-	// (the control loop's flight recorder, capacity opts.MaxDecisions);
-	// it has its own lock so readers never contend with a migration.
-	trace *adaptive.Trace
+	// trace is the fixed-size ring of re-optimization decisions (the
+	// control loop's flight recorder, capacity opts.MaxDecisions); it has
+	// its own lock so readers never contend with a migration.
+	trace *obs.Ring[adaptive.Decision]
 	// baseline is the counter snapshot at the last migration (zero until
 	// then, and after clearing rotations/resets). The control loop
 	// evaluates the workload over the delta since this baseline, so the
@@ -122,8 +113,8 @@ type Adaptive struct {
 
 // NewAdaptive builds an adaptive filter starting from the given
 // configuration and size (the same parameters New takes, sharded per
-// opts.Shards). If opts.Interval is positive the background tuner starts
-// immediately; call Close to stop it.
+// opts.Shards). Nothing re-optimizes it in the background: call
+// Reoptimize on your own schedule (filter-server -autotune does).
 func NewAdaptive(cfg Config, mBits uint64, opts AdaptiveOptions) (*Adaptive, error) {
 	s, err := NewSharded(cfg, mBits, opts.Shards)
 	if err != nil {
@@ -152,14 +143,9 @@ func NewAdaptiveAdvised(opts AdaptiveOptions) (*Adaptive, Advice, error) {
 
 func newAdaptive(s *Sharded, opts AdaptiveOptions, logComplete bool) *Adaptive {
 	opts = opts.withDefaults()
-	a := &Adaptive{s: s, opts: opts, trace: adaptive.NewTrace(opts.MaxDecisions)}
-	if !opts.DisableKeyLog {
-		a.log.Store(new(adaptive.KeyLog))
-		a.logComplete.Store(logComplete)
-	}
-	if opts.Interval > 0 {
-		a.StartTuner(opts.Interval)
-	}
+	a := &Adaptive{s: s, opts: opts, trace: obs.NewRing[adaptive.Decision](opts.MaxDecisions)}
+	a.log.Store(new(adaptive.KeyLog))
+	a.logComplete.Store(logComplete)
 	return a
 }
 
@@ -172,79 +158,20 @@ func NewAdaptiveFrom(s *Sharded, opts AdaptiveOptions) *Adaptive {
 	return newAdaptive(s, opts, s.Count() == 0)
 }
 
-// StartTuner launches the background re-optimization loop on the given
-// interval (idempotent while running). Decisions, including ones that
-// conclude "keep the current filter", are recorded in Decisions.
-func (a *Adaptive) StartTuner(interval time.Duration) {
-	a.tuner.Start(interval, func() { a.Reoptimize() })
-}
+// Close releases the underlying sharded filter's persistent batch-gather
+// workers. The filter stays usable (large batches fall back to their
+// caller's goroutine).
+func (a *Adaptive) Close() { a.s.Close() }
 
-// Close stops the background tuner, if any, and releases the underlying
-// sharded filter's persistent batch-gather workers. The filter stays
-// usable (large batches fall back to their caller's goroutine).
-func (a *Adaptive) Close() {
-	a.tuner.Stop()
-	a.s.Close()
-}
-
-// TunerRunning reports whether the background loop is active.
-func (a *Adaptive) TunerRunning() bool { return a.tuner.Running() }
-
-// Insert implements Filter; safe for concurrent use. The key is logged
-// before it is inserted, so an insert racing a migration's log snapshot is
-// covered either by the snapshot or by the rotation's dual-write window —
-// never dropped — and the log pointer is re-checked afterwards so a
-// concurrent clearing Rotate/Reset cannot leave the key in the filter but
-// out of the log. Unless AutoGrow is disabled, a cuckoo ErrFull triggers
-// an emergency re-optimization (grow to the advised size for the observed
-// n) before the error is surfaced.
+// Insert implements Filter; safe for concurrent use. Unless AutoGrow is
+// disabled, a cuckoo ErrFull triggers an emergency re-optimization (grow
+// to the advised size for the observed n) before the error is surfaced.
 func (a *Adaptive) Insert(key Key) error {
-	log := a.log.Load()
-	if log != nil {
-		log.Append(key)
-	}
-	err := a.s.Insert(key)
-	if log != nil {
-		if cur := a.log.Load(); cur != log {
-			cur.Append(key)
-			log = cur
-		}
-	}
-	for attempt := 0; errors.Is(err, ErrFull) && attempt < maxFullRecoveries && a.autoGrows(); attempt++ {
-		self, rerr := a.recoverFull(context.Background(), a.s.SizeBits(), 1)
-		if rerr != nil {
-			break
-		}
-		if self {
-			// This call performed the migration: the key was appended to
-			// the log before the failed insert, so the fill snapshot
-			// replayed it into the grown generation — nothing to re-insert
-			// (a re-insert would double the key's cuckoo occupancy).
-			err = nil
-			break
-		}
-		// A concurrent recovery grew the filter; retry there, re-checking
-		// the log epoch again so the retried insert can never be in the
-		// filter but missing from the current log.
-		err = a.s.Insert(key)
-		if log != nil {
-			if cur := a.log.Load(); cur != log {
-				cur.Append(key)
-				log = cur
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	a.stats.RecordInsert(1)
-	return nil
+	_, err := a.insertLogged(context.Background(), []Key{key}, func() (int, error) {
+		return 1, a.s.Insert(key)
+	})
+	return err
 }
-
-// maxFullRecoveries bounds the emergency-grow retries of one insert call:
-// each recovery at least doubles the filter, so a handful always suffices
-// unless growth itself is failing.
-const maxFullRecoveries = 4
 
 // InsertConcurrent implements ConcurrentFilter; identical to Insert.
 func (a *Adaptive) InsertConcurrent(key Key) error { return a.Insert(key) }
@@ -262,40 +189,53 @@ func (a *Adaptive) InsertBatch(keys []Key) (int, error) {
 // span in ctx gains per-shard "shard.insert" children, and an emergency
 // grow triggered by this batch runs its migration under the same trace.
 func (a *Adaptive) InsertBatchCtx(ctx context.Context, keys []Key) (int, error) {
+	return a.insertLogged(ctx, keys, func() (int, error) { return a.s.InsertBatchCtx(ctx, keys) })
+}
+
+// maxFullRecoveries bounds the emergency-grow retries of one insert call:
+// each recovery at least doubles the filter, so a handful always suffices
+// unless growth itself is failing.
+const maxFullRecoveries = 4
+
+// insertLogged is the logged-insert protocol behind Insert and
+// InsertBatchCtx; insert puts keys into the sharded filter (its count is
+// ignored on error). The keys are logged before they are inserted, so an
+// insert racing a migration's log snapshot is covered either by the
+// snapshot or by the rotation's dual-write window — never dropped — and
+// the log pointer is re-checked after every insert attempt so a
+// concurrent clearing Rotate/Reset cannot leave a key in the filter but
+// out of the log. On ErrFull it runs the emergency grow (recoverFull) up
+// to maxFullRecoveries times.
+func (a *Adaptive) insertLogged(ctx context.Context, keys []Key, insert func() (int, error)) (int, error) {
 	log := a.log.Load()
-	if log != nil {
-		log.AppendBatch(keys)
-	}
-	inserted, err := a.s.InsertBatchCtx(ctx, keys)
-	if log != nil {
+	log.AppendBatch(keys)
+	try := func() (int, error) {
+		n, err := insert()
 		if cur := a.log.Load(); cur != log {
 			cur.AppendBatch(keys)
 			log = cur
 		}
+		return n, err
 	}
+	inserted, err := try()
 	for attempt := 0; errors.Is(err, ErrFull) && attempt < maxFullRecoveries && a.autoGrows(); attempt++ {
 		self, rerr := a.recoverFull(ctx, a.s.SizeBits(), uint64(len(keys)))
 		if rerr != nil {
 			break
 		}
 		if self {
-			// The migration's fill snapshot replayed the whole batch (it
-			// was logged before the failed attempt), deduplicated — every
-			// key is present exactly once, with no partial-insert copies
-			// carried over from the retiring generation.
+			// This call performed the migration: the keys were logged
+			// before the failed attempt, so the fill snapshot replayed them,
+			// deduplicated, into the grown generation — every key is present
+			// exactly once and there is nothing to re-insert (a re-insert
+			// would double a key's cuckoo occupancy).
 			inserted, err = len(keys), nil
 			break
 		}
-		// A concurrent recovery grew the filter; replay the batch there
-		// (shard order, so not an input-order prefix on a further error),
-		// re-checking the log epoch afterwards.
-		inserted, err = a.s.InsertBatchCtx(ctx, keys)
-		if log != nil {
-			if cur := a.log.Load(); cur != log {
-				cur.AppendBatch(keys)
-				log = cur
-			}
-		}
+		// A concurrent recovery grew the filter; retry there (a batch goes
+		// in shard order, so not an input-order prefix on a further error),
+		// re-checking the log epoch again afterwards.
+		inserted, err = try()
 	}
 	if err == nil {
 		a.stats.RecordInsert(uint64(inserted))
@@ -333,13 +273,7 @@ func (a *Adaptive) ContainsBatchCtx(ctx context.Context, keys []Key, sel []uint3
 func (a *Adaptive) SizeBits() uint64 { return a.s.SizeBits() }
 
 // LogBits returns the key log's current footprint in bits.
-func (a *Adaptive) LogBits() uint64 {
-	log := a.log.Load()
-	if log == nil {
-		return 0
-	}
-	return log.Len() * 32
-}
+func (a *Adaptive) LogBits() uint64 { return a.log.Load().Len() * 32 }
 
 // FPR implements Filter.
 func (a *Adaptive) FPR(n uint64) float64 { return a.s.FPR(n) }
@@ -351,15 +285,11 @@ func (a *Adaptive) FPR(n uint64) float64 { return a.s.FPR(n) }
 func (a *Adaptive) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.log.Load() != nil {
-		a.log.Store(new(adaptive.KeyLog))
-	}
+	a.log.Store(new(adaptive.KeyLog))
 	a.s.Reset()
 	a.stats.Reset()
 	a.baseline = adaptive.Counters{}
-	if a.log.Load() != nil {
-		a.logComplete.Store(true)
-	}
+	a.logComplete.Store(true)
 }
 
 // String implements Filter.
@@ -403,11 +333,6 @@ func (a *Adaptive) WorkloadWindow() (adaptive.Counters, bool) {
 // Config returns the currently served configuration (migrations change it).
 func (a *Adaptive) Config() Config { return a.s.Config() }
 
-// Sharded exposes the underlying sharded filter (shared with the
-// serialization envelope; mutating rotations should go through the
-// Adaptive methods so the key log stays consistent).
-func (a *Adaptive) Sharded() *Sharded { return a.s }
-
 // Rotate implements ConcurrentFilter with the standard clearing contract:
 // the filter's contents are replaced by a fresh generation of mBits total
 // bits (0 keeps the size), populated by fill if non-nil. The key log
@@ -428,14 +353,6 @@ func (a *Adaptive) RotateCtx(ctx context.Context, mBits uint64, fill func(insert
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	old := a.log.Load()
-	if old == nil {
-		if err := a.s.RotateCtx(ctx, mBits, fill); err != nil {
-			return err
-		}
-		a.stats.Reset()
-		a.baseline = adaptive.Counters{}
-		return nil
-	}
 	fresh := new(adaptive.KeyLog)
 	// Publish the new epoch before the rotation starts: a writer whose
 	// insert lands in the staged generation observed the staging pointer,
@@ -469,7 +386,7 @@ func (a *Adaptive) RotateCtx(ctx context.Context, mBits uint64, fill func(insert
 }
 
 // canMigrate reports whether a lossless rebuild source exists.
-func (a *Adaptive) canMigrate() bool { return a.log.Load() != nil && a.logComplete.Load() }
+func (a *Adaptive) canMigrate() bool { return a.logComplete.Load() }
 
 // autoGrows reports whether the ErrFull emergency path is armed.
 func (a *Adaptive) autoGrows() bool { return !a.opts.DisableAutoGrow && a.canMigrate() }
@@ -573,7 +490,7 @@ func (a *Adaptive) adviceAt(lastMigration time.Time, baseline adaptive.Counters,
 		ok, reason = false, "already at the recommended configuration"
 	}
 	if ok && !a.canMigrate() {
-		ok, reason = false, "key log unavailable (disabled or incomplete after restore)"
+		ok, reason = false, "key log incomplete after restore"
 	}
 	adv.WouldMigrate, adv.Reason = ok, reason
 	return adv, nil
@@ -581,19 +498,18 @@ func (a *Adaptive) adviceAt(lastMigration time.Time, baseline adaptive.Counters,
 
 // Reoptimize runs one control-loop pass: re-advise against the observed
 // workload and migrate if the policy's hysteresis margin is cleared. The
-// returned decision is also appended to the history. It is what the
-// background tuner calls on its interval.
+// returned decision is also appended to the history. Call it on your own
+// schedule; filter-server's -autotune sweep paces its own passes.
 func (a *Adaptive) Reoptimize() (adaptive.Decision, error) {
 	return a.ReoptimizeCtx(context.Background())
 }
 
 // ReoptimizeCtx is Reoptimize with tracing: the pass runs under an
 // "adaptive.evaluate" span — a child when ctx already carries a sampled
-// span (the server's autotune sweep), otherwise a forced root on the
-// process tracer (the background tuner) — annotated with the observed
-// workload (n, σ), the modeled overheads ρ_cur/ρ_new, the verdict and
-// its reason, so a migration in the trace ring links back to the
-// workload evidence that triggered it.
+// span, otherwise a forced root on the process tracer — annotated with
+// the observed workload (n, σ), the modeled overheads ρ_cur/ρ_new, the
+// verdict and its reason, so a migration in the trace ring links back
+// to the workload evidence that triggered it.
 func (a *Adaptive) ReoptimizeCtx(ctx context.Context) (adaptive.Decision, error) {
 	var sp *obs.Span
 	if obs.SpanFromContext(ctx) != nil {
@@ -760,18 +676,27 @@ func (a *Adaptive) record(d adaptive.Decision) {
 // Decisions returns a copy of the retained decision history, oldest
 // first (at most MaxDecisions entries — the trace ring's capacity).
 func (a *Adaptive) Decisions() []adaptive.Decision {
-	return a.trace.Snapshot()
+	d, _ := a.trace.Snapshot()
+	return d
 }
 
-// TraceTotal returns the number of re-optimization decisions ever
-// recorded, including ones the bounded trace has since overwritten.
-func (a *Adaptive) TraceTotal() uint64 { return a.trace.Total() }
+// DecisionTrace returns the retained decision history, oldest first,
+// together with the number of decisions ever recorded (including ones
+// the bounded trace has since overwritten), read atomically so the
+// history never outnumbers the total.
+func (a *Adaptive) DecisionTrace() ([]adaptive.Decision, uint64) { return a.trace.Snapshot() }
 
 // LastMigration returns the most recent decision that actually migrated
 // the filter (explicit, control-loop or emergency), if one is still
 // retained in the trace.
-func (a *Adaptive) LastMigration() (adaptive.Decision, bool) {
-	return a.trace.Last(func(d adaptive.Decision) bool { return d.Migrated })
+func (a *Adaptive) LastMigration() (last adaptive.Decision, ok bool) {
+	a.trace.Walk(func(d adaptive.Decision) bool {
+		if d.Migrated {
+			last, ok = d, true
+		}
+		return !ok
+	})
+	return last, ok
 }
 
 // Skew reports the per-shard insert imbalance as max/mean (1 = even).

@@ -771,3 +771,100 @@ func TestAdaptiveReadMostlyCrossoverToXor(t *testing.T) {
 		t.Fatalf("%d of %d original keys present after the round trip", len(sel), n)
 	}
 }
+
+// TestAdaptiveIncompleteKeyLog pins the one reason left for a filter to
+// refuse migration: its key log does not cover every key it holds. The
+// tracked workload is the one under which TestGoldenMigrationDecisions
+// pins a migrate verdict (tw=16), so only the log can stand in the way.
+func TestAdaptiveIncompleteKeyLog(t *testing.T) {
+	keys := goldenKeys(4096)
+	opts := AdaptiveOptions{Workload: Workload{Tw: 16, Sigma: 0.125,
+		BitsPerKeyBudget: 16, Platform: PlatformSKX}, Shards: 4}
+	// track inserts keys through a and probes them, then returns the advice.
+	track := func(t *testing.T, a *Adaptive, keys []Key) AdaptiveAdvice {
+		t.Helper()
+		if _, err := a.InsertBatch(keys); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			a.ContainsBatch(keys, nil)
+		}
+		adv, err := a.Advice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adv
+	}
+	refused := func(t *testing.T, a *Adaptive, adv AdaptiveAdvice) {
+		t.Helper()
+		if adv.WouldMigrate || adv.Reason != "key log incomplete after restore" {
+			t.Fatalf("advice: migrate=%v reason=%q, want a refusal for the incomplete log",
+				adv.WouldMigrate, adv.Reason)
+		}
+		if err := a.Migrate(adaptiveCuckooCfg, 1<<18); err == nil {
+			t.Fatal("Migrate succeeded without a complete key log")
+		}
+	}
+
+	t.Run("NewAdaptiveFrom", func(t *testing.T) {
+		s, err := NewSharded(adaptiveBloomCfg, 1<<18, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.InsertBatch(keys[:2048]); err != nil {
+			t.Fatal(err)
+		}
+		a := NewAdaptiveFrom(s, opts)
+		refused(t, a, track(t, a, keys[2048:]))
+
+		a.Reset()
+		if adv := track(t, a, keys); !adv.WouldMigrate {
+			t.Fatalf("after Reset: migrate=false reason=%q", adv.Reason)
+		}
+		if err := a.Migrate(adaptiveCuckooCfg, 1<<18); err != nil {
+			t.Fatalf("Migrate after Reset: %v", err)
+		}
+		if sel := a.ContainsBatch(keys, nil); len(sel) != len(keys) {
+			t.Fatalf("%d of %d keys present after migration", len(sel), len(keys))
+		}
+	})
+
+	t.Run("envelope without log", func(t *testing.T) {
+		a, err := NewAdaptive(adaptiveBloomCfg, 1<<18, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adv := track(t, a, keys); !adv.WouldMigrate {
+			t.Fatalf("original: migrate=false reason=%q", adv.Reason)
+		}
+		data, err := Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Clear the "log present" flag (bit 1) and drop the logged keys,
+		// keeping the header's other fields and the inner envelope.
+		le := binary.LittleEndian
+		logLen := le.Uint64(data[64:])
+		env := append([]byte(nil), data[:adaptiveHeaderLen]...)
+		env[5] &^= 2
+		le.PutUint64(env[64:], 0)
+		env = append(env, data[adaptiveHeaderLen+4*logLen:]...)
+
+		b, err := UnmarshalAdaptive(env, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.LogBits() != 0 {
+			t.Fatalf("restored log holds %d bits, want 0", b.LogBits())
+		}
+		probe := append(goldenKeys(8192)[4096:], keys...)
+		if got, want := b.ContainsBatch(probe, nil), a.ContainsBatch(probe, nil); !bytes.Equal(selBytes(got), selBytes(want)) {
+			t.Fatal("restored filter's probe results differ from the original's")
+		}
+		adv, err := b.Advice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(t, b, adv)
+	})
+}

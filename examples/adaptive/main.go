@@ -48,8 +48,8 @@ func main() {
 	fmt.Printf("the model says Bloom overtakes Cuckoo at n=%d\n\n", crossover)
 
 	// Stream keys in waves; after each wave, one control-loop pass. In a
-	// server you would instead set AdaptiveOptions.Interval (or run
-	// filter-server -autotune) and let the background tuner pace this.
+	// server you would call Reoptimize from your own ticker (or run
+	// filter-server -autotune, whose sweep paces itself).
 	var n perfilter.Key
 	batch := make([]perfilter.Key, 2048)
 	for uint64(n) < 2*crossover {

@@ -2,8 +2,8 @@
 // behind perfilter.NewAdaptive: cheap atomic workload counters, the
 // hysteresis policy deciding when a re-advised configuration is worth a
 // live migration, an append-only striped key log that makes migrations
-// lossless (any filter kind can be rebuilt from it), and the background
-// tuner goroutine driving periodic re-optimization.
+// lossless (any filter kind can be rebuilt from it), and the Decision
+// record each re-optimization pass leaves behind.
 //
 // The paper's central observation is that the performance-optimal filter
 // *changes* as the workload moves (n and tw shift the Bloom/Cuckoo
@@ -17,7 +17,6 @@ package adaptive
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -122,8 +121,8 @@ func (c Counters) Sigma(fallback float64) float64 {
 // Policy is the hysteresis rule deciding when a re-advised configuration
 // justifies a live migration. Migration is not free (the key log is
 // replayed into a staged generation), so the modeled win must clear a
-// margin before the tuner acts, and a minimum of observed work must have
-// accumulated so one early probe burst cannot thrash the filter.
+// margin before the control loop acts, and a minimum of observed work
+// must have accumulated so one early probe burst cannot thrash the filter.
 type Policy struct {
 	// Margin is the fractional ρ improvement required to migrate: the
 	// candidate must satisfy ρ_new < (1−Margin)·ρ_cur. Default 0.15.
@@ -132,7 +131,7 @@ type Policy struct {
 	// many inserts. Default 1024.
 	MinInserts uint64
 	// Cooldown is the minimum time between two migrations. Default 0 (the
-	// re-advise interval already paces the loop).
+	// caller's re-advise pace already limits the loop).
 	Cooldown time.Duration
 }
 
@@ -197,63 +196,4 @@ type Decision struct {
 	// time — the counters the σ estimate and the read-mostly gate were
 	// computed from.
 	Window Counters `json:"window,omitempty"`
-}
-
-// Tuner drives a re-optimization step on a fixed interval from a
-// background goroutine. The step callback owns all policy and migration
-// logic; the tuner only paces it and serializes Start/Stop.
-type Tuner struct {
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
-}
-
-// Start launches the loop, invoking step every interval until Stop. A
-// second Start without an intervening Stop is a no-op.
-func (t *Tuner) Start(interval time.Duration, step func()) {
-	if interval <= 0 || step == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	t.stop, t.done = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				step()
-			}
-		}
-	}()
-}
-
-// Stop halts the loop and waits for the in-flight step, if any, to finish.
-// Stopping a tuner that was never started is a no-op.
-func (t *Tuner) Stop() {
-	t.mu.Lock()
-	stop, done := t.stop, t.done
-	t.stop, t.done = nil, nil
-	t.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// Running reports whether the background loop is active.
-func (t *Tuner) Running() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stop != nil
 }

@@ -109,10 +109,6 @@ func TestKeyLogAppendSnapshotReplay(t *testing.T) {
 	if got := len(snap.Keys()); got != 1005 {
 		t.Fatalf("Keys len = %d, want 1005", got)
 	}
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatal("Reset left keys behind")
-	}
 }
 
 // TestKeyLogConcurrent hammers Append/AppendBatch/Snapshot from many
@@ -168,88 +164,5 @@ func TestKeyLogConcurrent(t *testing.T) {
 	}
 	if uint64(len(seen)) != total {
 		t.Fatalf("distinct keys = %d, want %d", len(seen), total)
-	}
-}
-
-func TestTunerStartStop(t *testing.T) {
-	var tn Tuner
-	fired := make(chan struct{}, 16)
-	tn.Start(time.Millisecond, func() {
-		select {
-		case fired <- struct{}{}:
-		default:
-		}
-	})
-	if !tn.Running() {
-		t.Fatal("tuner not running after Start")
-	}
-	// At least one tick lands well within a second.
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("tuner never ticked")
-	}
-	tn.Stop()
-	if tn.Running() {
-		t.Fatal("tuner running after Stop")
-	}
-	tn.Stop() // idempotent
-}
-
-// TestTraceRing pins the decision trace's ring semantics: capacity
-// bounds retention, overwrites drop oldest-first, Total counts every
-// record, and Last finds the newest matching entry.
-func TestTraceRing(t *testing.T) {
-	tr := NewTrace(4)
-	if tr.Cap() != 4 || tr.Len() != 0 || tr.Total() != 0 {
-		t.Fatalf("fresh trace: cap=%d len=%d total=%d", tr.Cap(), tr.Len(), tr.Total())
-	}
-	for i := 1; i <= 10; i++ {
-		tr.Add(Decision{N: uint64(i), Migrated: i%3 == 0})
-	}
-	if tr.Len() != 4 || tr.Total() != 10 {
-		t.Fatalf("after 10 adds: len=%d total=%d", tr.Len(), tr.Total())
-	}
-	snap := tr.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot length %d", len(snap))
-	}
-	for i, d := range snap {
-		if want := uint64(7 + i); d.N != want {
-			t.Fatalf("snapshot[%d].N = %d, want %d (oldest first)", i, d.N, want)
-		}
-	}
-	last, ok := tr.Last(nil)
-	if !ok || last.N != 10 {
-		t.Fatalf("Last(nil) = %+v, %v", last, ok)
-	}
-	mig, ok := tr.Last(func(d Decision) bool { return d.Migrated })
-	if !ok || mig.N != 9 {
-		t.Fatalf("Last(migrated) = %+v, %v", mig, ok)
-	}
-	if _, ok := tr.Last(func(d Decision) bool { return d.N > 100 }); ok {
-		t.Fatal("Last matched a decision that is not retained")
-	}
-}
-
-// TestTraceConcurrent drives Add/Snapshot/Last from many goroutines;
-// meaningful under -race.
-func TestTraceConcurrent(t *testing.T) {
-	tr := NewTrace(8)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 5000; i++ {
-			tr.Add(Decision{N: uint64(i)})
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		tr.Snapshot()
-		tr.Last(nil)
-		tr.Len()
-	}
-	<-done
-	if tr.Total() != 5000 {
-		t.Fatalf("total %d, want 5000", tr.Total())
 	}
 }

@@ -49,7 +49,11 @@ func (l *KeyLog) Append(k core.Key) {
 // AppendBatch records a batch of keys, grouping lock acquisitions so each
 // stripe's lock is taken at most once per call.
 func (l *KeyLog) AppendBatch(keys []core.Key) {
-	if len(keys) == 0 {
+	switch len(keys) {
+	case 0:
+		return
+	case 1: // Adaptive.Insert's path: skip the stripe-id scratch allocation
+		l.Append(keys[0])
 		return
 	}
 	// One hash pass, then one lock acquisition per touched stripe.
@@ -101,17 +105,6 @@ func (l *KeyLog) Snapshot() LogSnapshot {
 		s.mu.Unlock()
 	}
 	return snap
-}
-
-// Reset discards all logged keys (paired with a content-clearing rotation
-// or Reset of the filter the log shadows).
-func (l *KeyLog) Reset() {
-	for i := range l.stripes {
-		s := &l.stripes[i]
-		s.mu.Lock()
-		s.keys = nil
-		s.mu.Unlock()
-	}
 }
 
 // LogSnapshot is a stable point-in-time view of a KeyLog.

@@ -95,16 +95,12 @@ func (r *Registry) rawSnapshot() (counters map[string]uint64, gauges map[string]
 
 // History retains a fixed ring of periodic registry snapshots. All
 // methods are safe for concurrent use; Scrape calls are serialized by
-// the internal lock (overlapping scrapes would corrupt the delta
-// baseline).
+// mu (overlapping scrapes would corrupt the delta baseline).
 type History struct {
-	reg *Registry
+	reg     *Registry
+	entries *Ring[HistoryEntry]
 
-	mu      sync.Mutex
-	entries []HistoryEntry // ring; entries[next-1] is newest
-	next    int            // next slot to write
-	filled  bool           // ring has wrapped at least once
-
+	mu           sync.Mutex
 	primed       bool
 	prevAt       time.Time
 	prevCounters map[string]uint64
@@ -120,7 +116,7 @@ func NewHistory(reg *Registry, capacity int) *History {
 	if capacity <= 0 {
 		capacity = DefaultHistoryEntries
 	}
-	return &History{reg: reg, entries: make([]HistoryEntry, capacity)}
+	return &History{reg: reg, entries: NewRing[HistoryEntry](capacity)}
 }
 
 // Scrape takes one snapshot. The first call only records the delta
@@ -165,12 +161,7 @@ func (h *History) Scrape() {
 				P99:   quantileFromBuckets(db[:], cur.overflow-prev.overflow, 0.99),
 			}
 		}
-		h.entries[h.next] = e
-		h.next++
-		if h.next == len(h.entries) {
-			h.next = 0
-			h.filled = true
-		}
+		h.entries.Add(e)
 	}
 	h.primed = true
 	h.prevAt = now
@@ -201,23 +192,14 @@ func (h *History) Run(ctx context.Context, interval time.Duration) {
 // Entries returns the retained intervals that ended within window of the
 // newest one, newest first. window <= 0 returns everything retained.
 func (h *History) Entries(window time.Duration) []HistoryEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := h.next
-	if h.filled {
-		n = len(h.entries)
-	}
-	out := make([]HistoryEntry, 0, n)
-	var newest time.Time
-	for i := 0; i < n; i++ {
-		e := h.entries[(h.next-1-i+len(h.entries))%len(h.entries)]
-		if i == 0 {
-			newest = e.At
-		} else if window > 0 && newest.Sub(e.At) > window {
-			break
+	var out []HistoryEntry
+	h.entries.Walk(func(e HistoryEntry) bool {
+		if len(out) > 0 && window > 0 && out[0].At.Sub(e.At) > window {
+			return false
 		}
 		out = append(out, e)
-	}
+		return true
+	})
 	return out
 }
 

@@ -29,11 +29,17 @@
 //	                                 fields) names an explicit target
 //	POST   /v1/filters/{name}/snapshot
 //	                                 persist the filter to the data dir
-//	GET    /v1/filters/{name}/trace  the control loop's recent Reoptimize
-//	                                 decisions (a fixed-size ring): for each
-//	                                 pass, the tracked window, ρ_cur vs
-//	                                 ρ_new, the hysteresis margin, and the
-//	                                 chosen configuration
+//	GET    /v1/filters/{name}/trace  the filter's recent control-loop
+//	                                 decisions (a fixed-size ring): every
+//	                                 explicit migration (the migrate
+//	                                 endpoint and autotune migrations),
+//	                                 emergency grow and Reoptimize pass,
+//	                                 with the tracked window, ρ_cur vs
+//	                                 ρ_new, the hysteresis margin and the
+//	                                 chosen configuration; the autotune
+//	                                 sweep's declined verdicts appear as
+//	                                 server.autotune spans in
+//	                                 /v1/debug/traces instead
 //	GET    /healthz                  liveness: uptime, Go version, VCS
 //	                                 revision (always 200 while the
 //	                                 process serves)
@@ -278,9 +284,9 @@ func New(opts Options) *Server {
 }
 
 // adaptiveOptions builds the per-filter adaptive wrapper options: the
-// server owns pacing (autotune) and budget accounting, so the background
-// tuner and the ErrFull auto-grow stay off — saturation surfaces as 507
-// and every size change goes through the accounted migrate path.
+// server owns pacing (autotune) and budget accounting, so the ErrFull
+// auto-grow stays off — saturation surfaces as 507 and every size change
+// goes through the accounted migrate path.
 func (s *Server) adaptiveOptions(tw, sigma, budget float64) perfilter.AdaptiveOptions {
 	if tw == 0 {
 		tw = s.tw
@@ -684,10 +690,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	kind := ""
 	if e.f != nil {
 		kind = e.f.Config().Kind.String()
-		// Release the tuner and the persistent batch-gather workers
-		// eagerly rather than waiting for the finalizer. Safe against
-		// handlers still holding e.f: a closed pool just makes their
-		// remaining batches run on the handler goroutine.
+		// Release the persistent batch-gather workers eagerly rather
+		// than waiting for the finalizer. Safe against handlers still
+		// holding e.f: a closed pool just makes their remaining batches
+		// run on the handler goroutine.
 		e.f.Close()
 	}
 	s.log.Info("filter deleted", "filter", name, "kind", kind)
@@ -846,9 +852,10 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 }
 
 // TraceResponse is the trace endpoint's answer: the control loop's
-// recent Reoptimize decisions, oldest first. Total counts every decision
-// ever recorded, so a reader can tell how much history the fixed-size
-// ring has already dropped (total - len(decisions)).
+// recent decisions, oldest first. Total counts every decision ever
+// recorded, read together with the decisions, so a reader can tell how
+// much history the fixed-size ring has already dropped
+// (total - len(decisions)).
 type TraceResponse struct {
 	Name      string              `json:"name"`
 	Total     uint64              `json:"total"`
@@ -860,11 +867,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, TraceResponse{
-		Name:      name,
-		Total:     e.f.TraceTotal(),
-		Decisions: e.f.Decisions(),
-	})
+	decisions, total := e.f.DecisionTrace()
+	writeJSON(w, http.StatusOK, TraceResponse{Name: name, Total: total, Decisions: decisions})
 }
 
 // MigrateRequest selects the migration target. An empty body applies the

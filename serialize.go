@@ -260,15 +260,11 @@ func (a *Adaptive) marshalAdaptive() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var keys []Key
-	flags := uint8(0)
-	if log := a.log.Load(); log != nil {
-		flags |= 2
-		if a.logComplete.Load() {
-			flags |= 1
-		}
-		keys = log.Snapshot().Keys()
+	flags := uint8(2) // log present
+	if a.logComplete.Load() {
+		flags |= 1
 	}
+	keys := a.log.Load().Snapshot().Keys()
 	c := a.stats.Snapshot()
 	w := a.opts.Workload
 	out := make([]byte, adaptiveHeaderLen, adaptiveHeaderLen+4*len(keys)+len(inner))
@@ -294,7 +290,7 @@ func (a *Adaptive) marshalAdaptive() ([]byte, error) {
 // envelope: the inner sharded filter (probe results byte-identical to the
 // original's), the workload counters, and the key log, so the restored
 // filter can keep migrating losslessly. opts supplies the runtime pieces
-// that are not persisted (policy, tuner interval, decision history depth);
+// that are not persisted (policy, decision history depth, auto-grow);
 // zero workload fields fall back to the persisted ones.
 func UnmarshalAdaptive(data []byte, opts AdaptiveOptions) (*Adaptive, error) {
 	if len(data) < adaptiveHeaderLen {
@@ -345,8 +341,8 @@ func UnmarshalAdaptive(data []byte, opts AdaptiveOptions) (*Adaptive, error) {
 	// one) gets a fresh, incomplete log: it can track and advise but not
 	// migrate until Reset.
 	a := newAdaptive(inner, opts, hadLog && complete)
-	if log := a.log.Load(); log != nil && hadLog {
-		log.AppendBatch(keys)
+	if hadLog {
+		a.log.Load().AppendBatch(keys)
 	}
 	a.stats.Restore(counters)
 	return a, nil
