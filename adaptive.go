@@ -173,9 +173,6 @@ func (a *Adaptive) Insert(key Key) error {
 	return err
 }
 
-// InsertConcurrent implements ConcurrentFilter; identical to Insert.
-func (a *Adaptive) InsertConcurrent(key Key) error { return a.Insert(key) }
-
 // InsertBatch adds a batch of keys (see Sharded.InsertBatch for the
 // shard-grouped locking and the non-prefix ErrFull contract). On cuckoo
 // saturation it grows once via an emergency re-optimization and replays
@@ -189,7 +186,7 @@ func (a *Adaptive) InsertBatch(keys []Key) (int, error) {
 // span in ctx gains per-shard "shard.insert" children, and an emergency
 // grow triggered by this batch runs its migration under the same trace.
 func (a *Adaptive) InsertBatchCtx(ctx context.Context, keys []Key) (int, error) {
-	return a.insertLogged(ctx, keys, func() (int, error) { return a.s.InsertBatchCtx(ctx, keys) })
+	return a.insertLogged(ctx, keys, func() (int, error) { return a.s.s.InsertBatch(ctx, keys) })
 }
 
 // maxFullRecoveries bounds the emergency-grow retries of one insert call:
@@ -263,7 +260,7 @@ func (a *Adaptive) ContainsBatch(keys []Key, sel []uint32) []uint32 {
 // sampled span in ctx gains per-shard "shard.probe" children.
 func (a *Adaptive) ContainsBatchCtx(ctx context.Context, keys []Key, sel []uint32) []uint32 {
 	before := len(sel)
-	sel = a.s.ContainsBatchCtx(ctx, keys, sel)
+	sel = a.s.s.ContainsBatch(ctx, keys, sel)
 	a.stats.RecordProbe(uint64(len(keys)), uint64(len(sel)-before))
 	return sel
 }
@@ -295,7 +292,7 @@ func (a *Adaptive) Reset() {
 // String implements Filter.
 func (a *Adaptive) String() string { return "adaptive " + a.s.String() }
 
-// NumShards implements ConcurrentFilter.
+// NumShards returns the partition count.
 func (a *Adaptive) NumShards() int { return a.s.NumShards() }
 
 // Count returns the number of successful inserts into the current
@@ -306,8 +303,8 @@ func (a *Adaptive) Count() uint64 { return a.s.Count() }
 // Generation returns the rotation sequence number.
 func (a *Adaptive) Generation() uint64 { return a.s.Generation() }
 
-// Stats implements ConcurrentFilter (shard occupancy; the workload
-// counters are returned by Counters).
+// Stats snapshots shard occupancy (the workload counters are returned by
+// Counters).
 func (a *Adaptive) Stats() ShardStats { return a.s.Stats() }
 
 // StorageAligned reports whether every shard's word storage is
@@ -333,7 +330,7 @@ func (a *Adaptive) WorkloadWindow() (adaptive.Counters, bool) {
 // Config returns the currently served configuration (migrations change it).
 func (a *Adaptive) Config() Config { return a.s.Config() }
 
-// Rotate implements ConcurrentFilter with the standard clearing contract:
+// Rotate is Sharded.Rotate with the standard clearing contract:
 // the filter's contents are replaced by a fresh generation of mBits total
 // bits (0 keeps the size), populated by fill if non-nil. The key log
 // rotates in lockstep: a fresh log epoch is published before the sharded
@@ -342,14 +339,9 @@ func (a *Adaptive) Config() Config { return a.s.Config() }
 // so after the swap the new log covers exactly (a superset of) the new
 // generation, the tracked counters restart, and later migrations cannot
 // resurrect cleared keys. To resize *without* clearing, use Migrate with
-// the current configuration.
-func (a *Adaptive) Rotate(mBits uint64, fill func(insert func(Key) error) error) error {
-	return a.RotateCtx(context.Background(), mBits, fill)
-}
-
-// RotateCtx is Rotate with request-scoped tracing: a sampled span in ctx
-// gains the sharded layer's "sharded.rotate" child.
-func (a *Adaptive) RotateCtx(ctx context.Context, mBits uint64, fill func(insert func(Key) error) error) error {
+// the current configuration. A sampled span in ctx gains the sharded
+// layer's "sharded.rotate" child.
+func (a *Adaptive) Rotate(ctx context.Context, mBits uint64, fill func(insert func(Key) error) error) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	old := a.log.Load()
@@ -368,7 +360,7 @@ func (a *Adaptive) RotateCtx(ctx context.Context, mBits uint64, fill func(insert
 			})
 		}
 	}
-	if err := a.s.RotateCtx(ctx, mBits, wrapped); err != nil {
+	if err := a.s.Rotate(ctx, mBits, wrapped); err != nil {
 		// The rotation aborted: the retiring generation still serves, so
 		// restore its log and fold in the keys writers logged into the
 		// aborted epoch (their inserts landed in the retiring generation).
@@ -500,17 +492,13 @@ func (a *Adaptive) adviceAt(lastMigration time.Time, baseline adaptive.Counters,
 // workload and migrate if the policy's hysteresis margin is cleared. The
 // returned decision is also appended to the history. Call it on your own
 // schedule; filter-server's -autotune sweep paces its own passes.
-func (a *Adaptive) Reoptimize() (adaptive.Decision, error) {
-	return a.ReoptimizeCtx(context.Background())
-}
-
-// ReoptimizeCtx is Reoptimize with tracing: the pass runs under an
-// "adaptive.evaluate" span — a child when ctx already carries a sampled
-// span, otherwise a forced root on the process tracer — annotated with
-// the observed workload (n, σ), the modeled overheads ρ_cur/ρ_new, the
-// verdict and its reason, so a migration in the trace ring links back
-// to the workload evidence that triggered it.
-func (a *Adaptive) ReoptimizeCtx(ctx context.Context) (adaptive.Decision, error) {
+//
+// The pass runs under an "adaptive.evaluate" span — a child when ctx
+// already carries a sampled span, otherwise a forced root on the process
+// tracer — annotated with the observed workload (n, σ), the modeled
+// overheads ρ_cur/ρ_new, the verdict and its reason, so a migration in
+// the trace ring links back to the workload evidence that triggered it.
+func (a *Adaptive) Reoptimize(ctx context.Context) (adaptive.Decision, error) {
 	var sp *obs.Span
 	if obs.SpanFromContext(ctx) != nil {
 		ctx, sp = obs.StartSpan(ctx, "adaptive.evaluate")
@@ -555,15 +543,10 @@ func (a *Adaptive) ReoptimizeCtx(ctx context.Context) (adaptive.Decision, error)
 
 // Migrate forces a live migration to an explicit configuration and size,
 // bypassing the hysteresis policy (the server's migrate endpoint). mBits 0
-// keeps the current size. The same losslessness guarantees apply.
-func (a *Adaptive) Migrate(cfg Config, mBits uint64) error {
-	return a.MigrateCtx(context.Background(), cfg, mBits)
-}
-
-// MigrateCtx is Migrate with request-scoped tracing: a sampled span in
-// ctx gains the sharded layer's "sharded.rotate" child (and seal span
-// for build-once targets).
-func (a *Adaptive) MigrateCtx(ctx context.Context, cfg Config, mBits uint64) error {
+// keeps the current size. The same losslessness guarantees apply. A
+// sampled span in ctx gains the sharded layer's "sharded.rotate" child
+// (and seal span for build-once targets).
+func (a *Adaptive) Migrate(ctx context.Context, cfg Config, mBits uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	prev := a.s.Config()
@@ -602,7 +585,7 @@ func (a *Adaptive) migrateLocked(ctx context.Context, cfg Config, mBits uint64) 
 	}
 	prev := a.s.Config()
 	log := a.log.Load()
-	if err := a.s.MigrateCtx(ctx, cfg, mBits, func(insert func(Key) error) error {
+	if err := a.s.Migrate(ctx, cfg, mBits, func(insert func(Key) error) error {
 		return log.Snapshot().Replay(insert, true)
 	}); err != nil {
 		return err
@@ -702,8 +685,4 @@ func (a *Adaptive) LastMigration() (last adaptive.Decision, ok bool) {
 // Skew reports the per-shard insert imbalance as max/mean (1 = even).
 func (a *Adaptive) Skew() float64 { return a.s.Skew() }
 
-// compile-time interface checks
-var (
-	_ Filter           = (*Adaptive)(nil)
-	_ ConcurrentFilter = (*Adaptive)(nil)
-)
+var _ Filter = (*Adaptive)(nil)

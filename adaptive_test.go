@@ -2,6 +2,7 @@ package perfilter
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"strings"
@@ -172,7 +173,7 @@ func TestAdaptiveMigrationLosslessUnderWriters(t *testing.T) {
 	}
 
 	// Bloom→Cuckoo under live writers.
-	if err := a.Migrate(adaptiveCuckooCfg, mCuckoo); err != nil {
+	if err := a.Migrate(context.Background(), adaptiveCuckooCfg, mCuckoo); err != nil {
 		t.Fatalf("bloom→cuckoo: %v", err)
 	}
 	selMid := a.ContainsBatch(fixed, nil)
@@ -182,7 +183,7 @@ func TestAdaptiveMigrationLosslessUnderWriters(t *testing.T) {
 
 	waitFor(perWriter / 2)
 	// Cuckoo→Bloom under live writers.
-	if err := a.Migrate(adaptiveBloomCfg, mBloom); err != nil {
+	if err := a.Migrate(context.Background(), adaptiveBloomCfg, mBloom); err != nil {
 		t.Fatalf("cuckoo→bloom: %v", err)
 	}
 	selAfter := a.ContainsBatch(fixed, nil)
@@ -295,7 +296,7 @@ func TestAdaptiveLiveCrossover(t *testing.T) {
 			t.Fatalf("insert at n=%d: %v", n, err)
 		}
 		n += uint64(len(batch))
-		if _, err := a.Reoptimize(); err != nil {
+		if _, err := a.Reoptimize(context.Background()); err != nil {
 			t.Fatalf("reoptimize at n=%d: %v", n, err)
 		}
 	}
@@ -384,7 +385,7 @@ func TestAdaptiveEnvelopeRoundTrip(t *testing.T) {
 	}
 
 	// The restored key log still supports a kind change.
-	if err := b.Migrate(adaptiveCuckooCfg, 2*CuckooSizeForKeys(16, 2, n)); err != nil {
+	if err := b.Migrate(context.Background(), adaptiveCuckooCfg, 2*CuckooSizeForKeys(16, 2, n)); err != nil {
 		t.Fatalf("migrate after restore: %v", err)
 	}
 	if sel := b.ContainsBatch(keys, nil); len(sel) != n {
@@ -429,7 +430,7 @@ func TestAdaptiveErrFullRecovery(t *testing.T) {
 }
 
 // TestAdaptiveRotateClearsWithoutResurrection pins the adaptive rotation
-// contract: Rotate clears (the standard ConcurrentFilter semantics), the
+// contract: Rotate clears (the standard Sharded.Rotate semantics), the
 // key log and counters rotate with the generation, and — the regression
 // that matters — a later migration must NOT resurrect cleared keys from a
 // stale log. Migrate with the current config is the resize-preserving
@@ -449,7 +450,7 @@ func TestAdaptiveRotateClearsWithoutResurrection(t *testing.T) {
 	}
 
 	// Migrate at the same config and double the size: contents preserved.
-	if err := a.Migrate(a.Config(), 32*n); err != nil {
+	if err := a.Migrate(context.Background(), a.Config(), 32*n); err != nil {
 		t.Fatal(err)
 	}
 	if sel := a.ContainsBatch(old, nil); len(sel) != n {
@@ -461,7 +462,7 @@ func TestAdaptiveRotateClearsWithoutResurrection(t *testing.T) {
 
 	// Rotate: clears contents, restarts the log epoch and the counters.
 	gen := a.Generation()
-	if err := a.Rotate(16*n, nil); err != nil {
+	if err := a.Rotate(context.Background(), 16*n, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.Generation() != gen+1 {
@@ -486,7 +487,7 @@ func TestAdaptiveRotateClearsWithoutResurrection(t *testing.T) {
 	if _, err := a.InsertBatch(fresh); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Migrate(adaptiveCuckooCfg, 2*CuckooSizeForKeys(16, 2, n)); err != nil {
+	if err := a.Migrate(context.Background(), adaptiveCuckooCfg, 2*CuckooSizeForKeys(16, 2, n)); err != nil {
 		t.Fatal(err)
 	}
 	if sel := a.ContainsBatch(fresh, nil); len(sel) != n {
@@ -592,7 +593,7 @@ func TestAdaptiveXorMigrationLosslessUnderWriters(t *testing.T) {
 	// Bloom→Xor under live writers: the key-log snapshot is replayed into
 	// staged xor shards, which are sealed before the swap; dual-writes
 	// racing the window land in pending/overflow buffers.
-	if err := a.Migrate(xorCfg, 0); err != nil {
+	if err := a.Migrate(context.Background(), xorCfg, 0); err != nil {
 		t.Fatalf("bloom→xor: %v", err)
 	}
 	if got := a.Config().Kind; got != Xor {
@@ -645,7 +646,7 @@ func TestAdaptiveXorMigrationLosslessUnderWriters(t *testing.T) {
 	// Xor→Bloom under live writers: writes resumed, move back to a
 	// mutable family. The replay covers the sealed tables' keys, the
 	// overflow buffers and every dual-write.
-	if err := a.Migrate(adaptiveBloomCfg, mBloom); err != nil {
+	if err := a.Migrate(context.Background(), adaptiveBloomCfg, mBloom); err != nil {
 		t.Fatalf("xor→bloom: %v", err)
 	}
 	selAfter := a.ContainsBatch(fixed, nil)
@@ -729,7 +730,7 @@ func TestAdaptiveReadMostlyCrossoverToXor(t *testing.T) {
 	if adv.Best.Config.Kind != Xor {
 		t.Fatalf("read-mostly best is %s, want xor", adv.Best.Config)
 	}
-	d, err := a.Reoptimize()
+	d, err := a.Reoptimize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,7 +753,7 @@ func TestAdaptiveReadMostlyCrossoverToXor(t *testing.T) {
 	if sel := a.ContainsBatch(resumed, nil); len(sel) != len(resumed) {
 		t.Fatalf("only %d of %d resumed writes queryable on the live xor generation", len(sel), len(resumed))
 	}
-	d, err = a.Reoptimize()
+	d, err = a.Reoptimize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -801,7 +802,7 @@ func TestAdaptiveIncompleteKeyLog(t *testing.T) {
 			t.Fatalf("advice: migrate=%v reason=%q, want a refusal for the incomplete log",
 				adv.WouldMigrate, adv.Reason)
 		}
-		if err := a.Migrate(adaptiveCuckooCfg, 1<<18); err == nil {
+		if err := a.Migrate(context.Background(), adaptiveCuckooCfg, 1<<18); err == nil {
 			t.Fatal("Migrate succeeded without a complete key log")
 		}
 	}
@@ -821,7 +822,7 @@ func TestAdaptiveIncompleteKeyLog(t *testing.T) {
 		if adv := track(t, a, keys); !adv.WouldMigrate {
 			t.Fatalf("after Reset: migrate=false reason=%q", adv.Reason)
 		}
-		if err := a.Migrate(adaptiveCuckooCfg, 1<<18); err != nil {
+		if err := a.Migrate(context.Background(), adaptiveCuckooCfg, 1<<18); err != nil {
 			t.Fatalf("Migrate after Reset: %v", err)
 		}
 		if sel := a.ContainsBatch(keys, nil); len(sel) != len(keys) {

@@ -9,41 +9,14 @@ import (
 	"perfilter/internal/sharded"
 )
 
-// ConcurrentFilter is a Filter that is additionally safe for concurrent
-// writers, and that can be rebuilt under live read traffic. NewSharded
-// returns the hash-partitioned implementation.
-type ConcurrentFilter interface {
-	Filter
-	// InsertConcurrent adds a key; unlike the base interface's Insert
-	// (whose contract elsewhere requires external write synchronization),
-	// it is documented safe to call from any number of goroutines. For
-	// the sharded implementation the two are the same method.
-	InsertConcurrent(key Key) error
-	// NumShards returns the partition count.
-	NumShards() int
-	// Rotate atomically replaces the filter's contents with a freshly
-	// built generation of mBits total bits (0 keeps the current size).
-	// fill, if non-nil, is called before the swap with a concurrency-safe
-	// insert into the staging generation, while readers continue on the
-	// old one. Inserts that observe the staging generation (it is
-	// published before fill starts, and every insert re-checks it as its
-	// final step) are routed into both the retiring and the staging
-	// generation and survive the swap; inserts that predate it survive
-	// only if fill's source observes them — replay a key log that writers
-	// append to before inserting, and no acknowledged write is lost.
-	Rotate(mBits uint64, fill func(insert func(Key) error) error) error
-	// Stats snapshots shard occupancy and rotation state.
-	Stats() ShardStats
-}
-
 // ShardStats is a point-in-time snapshot of a sharded filter.
 type ShardStats = sharded.Stats
 
-// Sharded is the ConcurrentFilter implementation: cfg split across P
-// hash-selected shards, each a standalone filter of mBits/P bits behind
-// its own reader/writer lock, with batched probes scatter/gathered across
-// shards and atomic generation rotation. See internal/sharded for the
-// design.
+// Sharded is a Filter that is safe for concurrent writers and can be
+// rebuilt under live read traffic: cfg split across P hash-selected
+// shards, each a standalone filter of mBits/P bits behind its own
+// reader/writer lock, with batched probes scatter/gathered across shards
+// and atomic generation rotation. See internal/sharded for the design.
 type Sharded struct {
 	s   *sharded.Filter
 	cfg Config
@@ -85,18 +58,12 @@ func NewSharded(cfg Config, mBits uint64, shards int) (*Sharded, error) {
 		return nil, fmt.Errorf("perfilter: %d bits cannot be split across %d shards", mBits, p)
 	}
 	sh := &Sharded{cfg: cfg, perShard: perShard}
-	s, err := sharded.New(sh.factory(perShard), p)
+	s, err := sharded.New(factoryFor(cfg, perShard), p)
 	if err != nil {
 		return nil, err
 	}
 	sh.s = s
 	return sh, nil
-}
-
-// factory builds one shard of the given size under the wrapper's current
-// configuration; see factoryFor.
-func (s *Sharded) factory(perShardBits uint64) sharded.Factory {
-	return factoryFor(s.cfg, perShardBits)
 }
 
 // factoryFor builds one shard of the given size, in bits for every kind:
@@ -127,21 +94,13 @@ func factoryFor(cfg Config, perShardBits uint64) sharded.Factory {
 // comment's "writes need external synchronization" does not apply here).
 func (s *Sharded) Insert(key Key) error { return s.s.Insert(key) }
 
-// InsertConcurrent implements ConcurrentFilter; identical to Insert.
-func (s *Sharded) InsertConcurrent(key Key) error { return s.s.Insert(key) }
-
 // InsertBatch adds a batch of keys, taking each shard's write lock once
 // per batch instead of once per key. It returns the number of keys
 // inserted; on error the inserted keys are not an input-order prefix
 // (keys are processed in shard order), so recover from ErrFull by
 // rotating larger and replaying the batch.
-func (s *Sharded) InsertBatch(keys []Key) (int, error) { return s.s.InsertBatch(keys) }
-
-// InsertBatchCtx is InsertBatch with request-scoped tracing: a sampled
-// span in ctx gains per-shard "shard.insert" children (see
-// internal/sharded).
-func (s *Sharded) InsertBatchCtx(ctx context.Context, keys []Key) (int, error) {
-	return s.s.InsertBatchCtx(ctx, keys)
+func (s *Sharded) InsertBatch(keys []Key) (int, error) {
+	return s.s.InsertBatch(context.Background(), keys)
 }
 
 // Contains implements Filter.
@@ -152,14 +111,7 @@ func (s *Sharded) Contains(key Key) bool { return s.s.Contains(key) }
 // ascending, position-preserving selection vector — byte-identical to
 // probing the shards one at a time.
 func (s *Sharded) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return s.s.ContainsBatch(keys, sel)
-}
-
-// ContainsBatchCtx is ContainsBatch with request-scoped tracing: a
-// sampled span in ctx gains per-shard "shard.probe" children (see
-// internal/sharded).
-func (s *Sharded) ContainsBatchCtx(ctx context.Context, keys []Key, sel []uint32) []uint32 {
-	return s.s.ContainsBatchCtx(ctx, keys, sel)
+	return s.s.ContainsBatch(context.Background(), keys, sel)
 }
 
 // SizeBits implements Filter (summed over shards).
@@ -174,7 +126,7 @@ func (s *Sharded) Reset() { s.s.Reset() }
 // String implements Filter.
 func (s *Sharded) String() string { return s.s.String() }
 
-// NumShards implements ConcurrentFilter.
+// NumShards returns the partition count.
 func (s *Sharded) NumShards() int { return s.s.NumShards() }
 
 // Count returns the number of successful inserts into the current
@@ -185,7 +137,7 @@ func (s *Sharded) Count() uint64 { return s.s.Count() }
 // Rotate).
 func (s *Sharded) Generation() uint64 { return s.s.Generation() }
 
-// Stats implements ConcurrentFilter.
+// Stats snapshots shard occupancy and rotation state.
 func (s *Sharded) Stats() ShardStats { return s.s.Stats() }
 
 // StorageAligned reports whether every shard's word storage is
@@ -203,42 +155,20 @@ func (s *Sharded) Close() { s.s.Close() }
 // diagnostic behind the server's shard-skew gauge.
 func (s *Sharded) Skew() float64 { return s.s.Skew() }
 
-// Rotate implements ConcurrentFilter: it builds a replacement generation
-// of mBits total bits (0 keeps the current size) off to the side, runs
-// fill against it if non-nil, then swaps it in with one atomic store.
-// Readers never block, and the staging generation doubles as a dual-write
-// target from before fill starts until after the swap: an insert whose
-// final re-check observes the window is present afterwards. Inserts that
-// complete before the window opens (including ones racing the new
-// generation's construction) are dropped unless fill's source observes
-// them — rotation replaces contents; pair fill with a key log that
-// writers append to before inserting and every acknowledged key is
-// retained.
-func (s *Sharded) Rotate(mBits uint64, fill func(insert func(Key) error) error) error {
-	return s.RotateCtx(context.Background(), mBits, fill)
-}
-
-// RotateCtx is Rotate with request-scoped tracing: a sampled span in ctx
-// gains a "sharded.rotate" child (and "sharded.seal" grandchild for
-// build-once kinds).
-func (s *Sharded) RotateCtx(ctx context.Context, mBits uint64, fill func(insert func(Key) error) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var factory sharded.Factory
-	perShard := s.perShard
-	if mBits != 0 {
-		var p int
-		perShard, p = sharded.SplitBits(mBits, s.s.NumShards())
-		if perShard == 0 {
-			return fmt.Errorf("perfilter: %d bits cannot be split across %d shards", mBits, p)
-		}
-		factory = s.factory(perShard)
-	}
-	if err := s.s.RotateCtx(ctx, factory, fill); err != nil {
-		return err
-	}
-	s.perShard = perShard
-	return nil
+// Rotate builds a replacement generation of mBits total bits (0 keeps the
+// current size) off to the side, runs fill against it if non-nil, then
+// swaps it in with one atomic store. Readers never block, and the staging
+// generation doubles as a dual-write target from before fill starts until
+// after the swap: an insert whose final re-check observes the window is
+// present afterwards. Inserts that complete before the window opens
+// (including ones racing the new generation's construction) are dropped
+// unless fill's source observes them — rotation replaces contents; pair
+// fill with a key log that writers append to before inserting and every
+// acknowledged key is retained. Rotate is Migrate to the current
+// configuration. A sampled span in ctx gains a "sharded.rotate" child
+// (and a "sharded.seal" grandchild for build-once kinds).
+func (s *Sharded) Rotate(ctx context.Context, mBits uint64, fill func(insert func(Key) error) error) error {
+	return s.migrate(ctx, nil, mBits, fill)
 }
 
 // Migrate is a configuration-changing Rotate: it swaps in a freshly built
@@ -250,17 +180,21 @@ func (s *Sharded) RotateCtx(ctx context.Context, mBits uint64, fill func(insert 
 // fill with a key log that writers append to before inserting (what
 // perfilter.NewAdaptive maintains) and no acknowledged write is lost. On
 // error the filter is unchanged, still serving its previous configuration.
-func (s *Sharded) Migrate(cfg Config, mBits uint64, fill func(insert func(Key) error) error) error {
-	return s.MigrateCtx(context.Background(), cfg, mBits, fill)
-}
-
-// MigrateCtx is Migrate with request-scoped tracing (see RotateCtx).
-func (s *Sharded) MigrateCtx(ctx context.Context, cfg Config, mBits uint64, fill func(insert func(Key) error) error) error {
+func (s *Sharded) Migrate(ctx context.Context, cfg Config, mBits uint64, fill func(insert func(Key) error) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	return s.migrate(ctx, &cfg, mBits, fill)
+}
+
+// migrate rebuilds the filter as cfg (nil keeps the current configuration)
+// at mBits total bits (0 keeps the current size).
+func (s *Sharded) migrate(ctx context.Context, cfg *Config, mBits uint64, fill func(insert func(Key) error) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if cfg == nil {
+		cfg = &s.cfg
+	}
 	shards := s.s.NumShards()
 	if mBits == 0 {
 		mBits = s.perShard * uint64(shards)
@@ -269,10 +203,10 @@ func (s *Sharded) MigrateCtx(ctx context.Context, cfg Config, mBits uint64, fill
 	if perShard == 0 {
 		return fmt.Errorf("perfilter: %d bits cannot be split across %d shards", mBits, p)
 	}
-	if err := s.s.RotateCtx(ctx, factoryFor(cfg, perShard), fill); err != nil {
+	if err := s.s.Rotate(ctx, factoryFor(*cfg, perShard), fill); err != nil {
 		return err
 	}
-	s.cfg = cfg
+	s.cfg = *cfg
 	s.perShard = perShard
 	return nil
 }
@@ -285,8 +219,4 @@ func (s *Sharded) Config() Config {
 	return s.cfg
 }
 
-// compile-time interface checks
-var (
-	_ Filter           = (*Sharded)(nil)
-	_ ConcurrentFilter = (*Sharded)(nil)
-)
+var _ Filter = (*Sharded)(nil)

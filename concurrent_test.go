@@ -1,6 +1,7 @@
 package perfilter
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -148,7 +149,7 @@ func TestShardedEquivalence(t *testing.T) {
 			r := rng.NewMT19937(2024)
 			for i := uint64(0); i < n; i++ {
 				key := r.Uint32() | 1
-				if err := sh.InsertConcurrent(key); err != nil {
+				if err := sh.Insert(key); err != nil {
 					t.Fatalf("sharded insert %d: %v", i, err)
 				}
 				if err := refs[sh.s.ShardOf(key)].Insert(key); err != nil {
@@ -203,7 +204,7 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentInsertProbe hammers InsertConcurrent and
+// TestShardedConcurrentInsertProbe hammers Insert and
 // ContainsBatch on one sharded filter from many goroutines; run with
 // -race for the full guarantee.
 func TestShardedConcurrentInsertProbe(t *testing.T) {
@@ -223,7 +224,7 @@ func TestShardedConcurrentInsertProbe(t *testing.T) {
 			r := rng.NewMT19937(uint32(1000 + w))
 			for i := 0; i < perWriter; i++ {
 				k := r.Uint32()
-				if err := sh.InsertConcurrent(k); err != nil {
+				if err := sh.Insert(k); err != nil {
 					errs <- err
 					return
 				}
@@ -287,7 +288,7 @@ func TestShardedRotationUnderLoad(t *testing.T) {
 	pinned := make([]Key, 10_000)
 	for i := range pinned {
 		pinned[i] = r.Uint32()
-		if err := sh.InsertConcurrent(pinned[i]); err != nil {
+		if err := sh.Insert(pinned[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,7 +319,7 @@ func TestShardedRotationUnderLoad(t *testing.T) {
 	}
 	const rotations = 20
 	for rot := 1; rot <= rotations; rot++ {
-		err := sh.Rotate(0, func(insert func(Key) error) error {
+		err := sh.Rotate(context.Background(), 0, func(insert func(Key) error) error {
 			for _, k := range pinned {
 				if err := insert(k); err != nil {
 					return err
@@ -343,7 +344,7 @@ func TestShardedRotationUnderLoad(t *testing.T) {
 		t.Fatalf("Count = %d after final rotation, want %d", got, len(pinned))
 	}
 	// Resizing rotation: double the bits, keys preserved by fill.
-	if err := sh.Rotate(1<<21, func(insert func(Key) error) error {
+	if err := sh.Rotate(context.Background(), 1<<21, func(insert func(Key) error) error {
 		for _, k := range pinned {
 			if err := insert(k); err != nil {
 				return err
@@ -405,7 +406,7 @@ func TestInsertBatchErrFullRecovery(t *testing.T) {
 	}
 	// Documented recovery: rotate to a larger generation and replay the
 	// whole batch. Every key must land this time.
-	if err := sh.Rotate(CuckooSizeForKeys(16, 4, n+n/8), nil); err != nil {
+	if err := sh.Rotate(context.Background(), CuckooSizeForKeys(16, 4, n+n/8), nil); err != nil {
 		t.Fatal(err)
 	}
 	replayed, err := sh.InsertBatch(keys)
@@ -418,6 +419,39 @@ func TestInsertBatchErrFullRecovery(t *testing.T) {
 	sel := sh.ContainsBatch(keys, nil)
 	if len(sel) != n {
 		t.Fatalf("%d of %d keys present after rotate-and-replay", len(sel), n)
+	}
+}
+
+// TestScalarInsertAllocs is the scalar write path's allocation gate: the
+// lossless write protocol runs Sharded.Insert through a closure that must
+// stay on the stack, so the insert makes no allocation; Adaptive.Insert
+// adds only the key log's amortized slice growth.
+func TestScalarInsertAllocs(t *testing.T) {
+	cfg := DefaultConfig(BlockedBloom)
+	sh, err := NewSharded(cfg, 1<<20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAdaptive(cfg, 1<<20, AdaptiveOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k Key
+	if avg := testing.AllocsPerRun(1000, func() {
+		k++
+		if err := sh.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Sharded.Insert allocates %.2f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		k++
+		if err := a.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}); avg >= 1 {
+		t.Errorf("Adaptive.Insert allocates %.2f/op, want < 1 (key log growth only)", avg)
 	}
 }
 

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 			log.Fatal(err)
 		}
 		n += perfilter.Key(len(batch))
-		if _, err := a.Reoptimize(); err != nil {
+		if _, err := a.Reoptimize(context.Background()); err != nil {
 			log.Fatal(err)
 		}
 		// Probes feed the σ estimate (and are what the filter is for).

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -80,8 +81,11 @@ func KernelsPool(shards int, mBits uint64, eff Effort) []Series {
 			n = maxFill
 		}
 		fill(func(k core.Key) bool { sf.Insert(k); return true }, n, 0xF11)
+		probe := func(keys []core.Key, sel core.SelVec) core.SelVec {
+			return sf.ContainsBatch(context.Background(), keys, sel)
+		}
 		for _, bl := range batchLens {
-			y := measureBatches(sf.ContainsBatch, bl, eff.MinTime)
+			y := measureBatches(probe, bl, eff.MinTime)
 			if workers > 0 {
 				on.X = append(on.X, float64(bl))
 				on.Y = append(on.Y, y)

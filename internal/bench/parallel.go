@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"time"
@@ -193,7 +194,7 @@ func ParallelProbe(goroutines []int, shards int, mBits uint64, eff Effort) []Ser
 				for i := range keys {
 					keys[i] = r.Uint32()
 				}
-				sel = sf.ContainsBatch(keys, sel[:0])
+				sel = sf.ContainsBatch(context.Background(), keys, sel[:0])
 				cnt += uint64(len(keys))
 			}
 			return cnt

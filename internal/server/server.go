@@ -714,69 +714,22 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.MBits > s.maxBits {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("mbits %d exceeds the server cap of %d", req.MBits, s.maxBits))
-		return
-	}
-	// Single-flight the rotation and reserve any resize delta under the
-	// registry lock, re-checking the entry is still the registered one:
-	// a concurrent DELETE releases e.bits (updated below before the lock
-	// drops), so post-rotation accounting must only run while registered.
-	s.mu.Lock()
-	if s.filters[name] != e {
-		s.mu.Unlock()
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no filter %q", name))
-		return
-	}
-	if e.rotating {
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, fmt.Errorf("filter %q is already rotating", name))
-		return
-	}
-	prev := e.bits
-	if req.MBits != 0 {
-		if req.MBits > prev && s.usedBits+(req.MBits-prev) > s.totalBits {
-			avail := remaining(s.totalBits, s.usedBits)
-			s.mu.Unlock()
-			writeErr(w, http.StatusInsufficientStorage,
-				fmt.Errorf("growing to %d bits exceeds the server's remaining budget of %d bits", req.MBits, avail))
-			return
-		}
-		s.usedBits += req.MBits - prev
-		e.bits = req.MBits
-	}
-	e.rotating = true
-	s.mu.Unlock()
-
-	// Rotations are rare and operator-initiated: always trace them. The
-	// span gains "sharded.rotate" children (dual-write window width,
-	// seal) from the layers below.
-	ctx, sp := s.tracer.StartRootForced(r.Context(), "server.rotate")
-	sp.SetAttr("filter", name)
-	sp.SetAttr("mbits", req.MBits)
-	err := e.f.RotateCtx(ctx, req.MBits, nil)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-
-	s.mu.Lock()
-	registered := s.filters[name] == e
-	if req.MBits != 0 && registered {
+	status, err := s.resize(name, e, req.MBits, "growing", func() error {
+		// Rotations are rare and operator-initiated: always trace them.
+		// The span gains "sharded.rotate" children (dual-write window
+		// width, seal) from the layers below.
+		ctx, sp := s.tracer.StartRootForced(r.Context(), "server.rotate")
+		sp.SetAttr("filter", name)
+		sp.SetAttr("mbits", req.MBits)
+		err := e.f.Rotate(ctx, req.MBits, nil)
 		if err != nil {
-			s.usedBits -= req.MBits - prev
-			e.bits = prev
-		} else if actual := e.f.SizeBits(); actual > e.bits {
-			// Re-account to the built size (constructors round up).
-			s.usedBits += actual - e.bits
-			e.bits = actual
+			sp.SetAttr("error", err.Error())
 		}
-	}
-	e.rotating = false
-	s.mu.Unlock()
+		sp.End()
+		return err
+	})
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, status, err)
 		return
 	}
 	s.log.Info("filter rotated",
@@ -954,58 +907,45 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// migrateEntry performs one accounted live migration: single-flighted per
-// filter, the size delta reserved against the memory budget up front
-// (mirroring handleRotate) and re-accounted to the built size afterwards.
-// The migration is always traced (a forced "server.migrate" root unless
-// ctx already carries a span) and counted in s.migrating while the
-// rebuild runs, flipping /readyz to 503.
-func (s *Server) migrateEntry(ctx context.Context, name string, e *entry, cfg perfilter.Config, mBits uint64) (int, map[string]any) {
+// resize runs op, a rotation or migration of e to mBits total bits (0
+// keeps the current size), single-flighted per filter: the size delta is
+// reserved against the memory budget up front, under the registry lock,
+// and afterwards re-accounted to the built size or rolled back on error.
+// Both run only while e is still the registered entry — a concurrent
+// DELETE releases e.bits, so accounting for an unregistered entry would
+// leak budget. verb words the budget error ("growing to …"). It returns
+// the HTTP status for op's outcome and any error.
+func (s *Server) resize(name string, e *entry, mBits uint64, verb string, op func() error) (int, error) {
 	if mBits > s.maxBits {
-		return http.StatusBadRequest, errBody(fmt.Errorf("mbits %d exceeds the server cap of %d", mBits, s.maxBits))
+		return http.StatusBadRequest, fmt.Errorf("mbits %d exceeds the server cap of %d", mBits, s.maxBits)
 	}
 	s.mu.Lock()
 	if s.filters[name] != e {
 		s.mu.Unlock()
-		return http.StatusNotFound, errBody(fmt.Errorf("no filter %q", name))
+		return http.StatusNotFound, fmt.Errorf("no filter %q", name)
 	}
 	if e.rotating {
 		s.mu.Unlock()
-		return http.StatusConflict, errBody(fmt.Errorf("filter %q is already rotating", name))
+		return http.StatusConflict, fmt.Errorf("filter %q is already rotating", name)
 	}
 	prev := e.bits
-	if mBits > prev && s.usedBits+(mBits-prev) > s.totalBits {
-		avail := remaining(s.totalBits, s.usedBits)
-		s.mu.Unlock()
-		return http.StatusInsufficientStorage,
-			errBody(fmt.Errorf("migrating to %d bits exceeds the server's remaining budget of %d bits", mBits, avail))
+	if mBits != 0 {
+		if mBits > prev && s.usedBits+(mBits-prev) > s.totalBits {
+			avail := remaining(s.totalBits, s.usedBits)
+			s.mu.Unlock()
+			return http.StatusInsufficientStorage,
+				fmt.Errorf("%s to %d bits exceeds the server's remaining budget of %d bits", verb, mBits, avail)
+		}
+		s.usedBits += mBits - prev
+		e.bits = mBits
 	}
-	s.usedBits += mBits - prev
-	e.bits = mBits
 	e.rotating = true
 	s.mu.Unlock()
 
-	fromKind := e.f.Config().Kind.String()
-	var sp *obs.Span
-	if obs.SpanFromContext(ctx) != nil {
-		ctx, sp = obs.StartSpan(ctx, "server.migrate")
-	} else {
-		ctx, sp = s.tracer.StartRootForced(ctx, "server.migrate")
-	}
-	sp.SetAttr("filter", name)
-	sp.SetAttr("from", fromKind)
-	sp.SetAttr("to", cfg.Kind.String())
-	sp.SetAttr("mbits", mBits)
-	s.migrating.Add(1)
-	err := e.f.MigrateCtx(ctx, cfg, mBits)
-	s.migrating.Add(-1)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
+	err := op()
 
 	s.mu.Lock()
-	if s.filters[name] == e {
+	if mBits != 0 && s.filters[name] == e {
 		if err != nil {
 			s.usedBits += prev - mBits
 			e.bits = prev
@@ -1018,9 +958,42 @@ func (s *Server) migrateEntry(ctx context.Context, name string, e *entry, cfg pe
 	e.rotating = false
 	s.mu.Unlock()
 	if err != nil {
-		s.log.Warn("filter migration failed",
-			"filter", name, "kind", fromKind, "target", cfg.String(), "err", err)
-		return http.StatusBadRequest, errBody(err)
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
+}
+
+// migrateEntry performs one accounted live migration (see resize). The
+// migration is always traced (a forced "server.migrate" root unless ctx
+// already carries a span) and counted in s.migrating while the rebuild
+// runs, flipping /readyz to 503.
+func (s *Server) migrateEntry(ctx context.Context, name string, e *entry, cfg perfilter.Config, mBits uint64) (int, map[string]any) {
+	var fromKind string
+	status, err := s.resize(name, e, mBits, "migrating", func() error {
+		fromKind = e.f.Config().Kind.String()
+		var sp *obs.Span
+		if obs.SpanFromContext(ctx) != nil {
+			ctx, sp = obs.StartSpan(ctx, "server.migrate")
+		} else {
+			ctx, sp = s.tracer.StartRootForced(ctx, "server.migrate")
+		}
+		sp.SetAttr("filter", name)
+		sp.SetAttr("from", fromKind)
+		sp.SetAttr("to", cfg.Kind.String())
+		sp.SetAttr("mbits", mBits)
+		s.migrating.Add(1)
+		err := e.f.Migrate(ctx, cfg, mBits)
+		s.migrating.Add(-1)
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+			s.log.Warn("filter migration failed",
+				"filter", name, "kind", fromKind, "target", cfg.String(), "err", err)
+		}
+		sp.End()
+		return err
+	})
+	if err != nil {
+		return status, errBody(err)
 	}
 	s.log.Info("filter migrated",
 		"filter", name, "from", fromKind, "to", cfg.Kind.String(),

@@ -4,10 +4,11 @@
 //
 // The paper's cost model ρ(F) = tl(F) + f(F)·tw treats the filter as a
 // single-threaded object; every kernel in this repository is safe for
-// concurrent readers but requires external synchronization for writes. At
-// service scale (the ROADMAP's "millions of users" north star) a single
-// writer lock caps insert throughput at one core. This package restores
-// multi-core scaling the standard way high-throughput hash structures do:
+// concurrent readers but requires external synchronization for writes. In
+// a service with many concurrent writers (the filter server's batch
+// plane), a single writer lock caps insert throughput at one core. This
+// package restores multi-core scaling the standard way high-throughput
+// hash structures do:
 //
 //   - Partitioning. Each key is assigned to one of P shards (P a power of
 //     two) by the top bits of an independent multiplicative hash — a
@@ -17,9 +18,10 @@
 //     same size.
 //   - Per-shard locks. Every shard pairs its filter with a sync.RWMutex.
 //     Writers contend only 1/P of the time; readers proceed in parallel.
-//   - Scatter/gather batches. ContainsBatch partitions the probe batch by
-//     shard (one counting-sort pass), probes shards — in parallel for
-//     large batches — and merges per-shard hits back into one
+//   - Scatter/gather batches. ContainsBatch and InsertBatch partition the
+//     batch by shard with the same counting-sort pass and run each
+//     shard's keys under its lock — in parallel for large batches.
+//     ContainsBatch merges per-shard hits back into one
 //     position-preserving, ascending selection vector: byte-identical to
 //     probing the same P filters sequentially, and to the scalar Contains
 //     path.
@@ -31,11 +33,12 @@
 //     stop-the-world pause.
 //   - Lossless writes across rotations. While a rotation is staging, a
 //     second atomic pointer publishes the staging generation as a
-//     dual-write target; writers re-check it (and the current generation)
-//     after every insert as their final step, so a write that observes
-//     the rotation survives the swap instead of vanishing with the
-//     retiring generation, and a write that predates it is the rotation
-//     fill's to replay (see Rotate for the key-log recipe that makes the
+//     dual-write target; writers (Insert and InsertBatch share one
+//     protocol) re-check it and then the current generation after every
+//     insert as their final step, so a write that observes the rotation
+//     survives the swap instead of vanishing with the retiring
+//     generation, and a write that predates it is the rotation fill's to
+//     replay (see Rotate for the key-log recipe that makes the
 //     combination airtight).
 //   - Snapshots. Snapshot serializes every shard (under the rotation
 //     lock) through a caller-supplied codec and Restore rebuilds the

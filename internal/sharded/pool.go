@@ -182,7 +182,7 @@ func (j *gatherJob) runInsert(s int) {
 	if j.failed.Load() {
 		return // drain remaining claims cheaply after an error
 	}
-	count, err := insertRun(j.g, j.sc, j.parent, s, j.dual)
+	count, err := insertRun(j.g, j.sc.run(s), j.parent, s, j.dual)
 	j.inserted.Add(int64(count))
 	if err != nil {
 		j.errMu.Lock()

@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,14 +29,14 @@ func TestPooledBatchMatchesSequential(t *testing.T) {
 	defer f.Close()
 	f.SetPoolSize(3) // force real workers even on a 1-CPU host
 	keys := bigBatch(1, 2*parallelBatchMin)
-	inserted, err := f.InsertBatch(keys[:parallelBatchMin])
+	inserted, err := f.InsertBatch(context.Background(), keys[:parallelBatchMin])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inserted != parallelBatchMin {
 		t.Fatalf("inserted %d of %d", inserted, parallelBatchMin)
 	}
-	sel := f.ContainsBatch(keys, nil)
+	sel := f.ContainsBatch(context.Background(), keys, nil)
 	// The inner filters are exact sets, so the pooled gather must report
 	// exactly the inserted prefix (rng duplicates aside, positions past
 	// the prefix can only be hits if their key repeats an inserted one).
@@ -56,7 +57,7 @@ func TestPooledBatchMatchesSequential(t *testing.T) {
 	}
 	// And byte-identical to the sequential fallback.
 	f.Close()
-	seq := f.ContainsBatch(keys, nil)
+	seq := f.ContainsBatch(context.Background(), keys, nil)
 	if len(seq) != len(sel) {
 		t.Fatalf("sequential fallback: %d hits, pooled %d", len(seq), len(sel))
 	}
@@ -126,10 +127,10 @@ func TestPoolLifecycle(t *testing.T) {
 	}
 	// Closed filter still serves batches (caller's goroutine).
 	keys := bigBatch(2, parallelBatchMin)
-	if _, err := f.InsertBatch(keys); err != nil {
+	if _, err := f.InsertBatch(context.Background(), keys); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.ContainsBatch(keys, nil)); got != len(keys) {
+	if got := len(f.ContainsBatch(context.Background(), keys, nil)); got != len(keys) {
 		t.Fatalf("after Close: %d hits of %d", got, len(keys))
 	}
 }
@@ -165,11 +166,11 @@ func TestPoolUnderRotateMigrateReset(t *testing.T) {
 	}
 	keys := bigBatch(3, parallelBatchMin)
 	worker(func(i int) { // pooled probes
-		sel := f.ContainsBatch(keys, make([]uint32, 0, len(keys)))
+		sel := f.ContainsBatch(context.Background(), keys, make([]uint32, 0, len(keys)))
 		_ = sel
 	})
 	worker(func(i int) { // pooled inserts
-		if _, err := f.InsertBatch(keys); err != nil {
+		if _, err := f.InsertBatch(context.Background(), keys); err != nil {
 			t.Errorf("insert: %v", err)
 		}
 	})
@@ -178,7 +179,7 @@ func TestPoolUnderRotateMigrateReset(t *testing.T) {
 		if i%2 == 1 {
 			factory = bloomFactory(1 << 17)
 		}
-		if err := f.Rotate(factory, nil); err != nil {
+		if err := f.Rotate(context.Background(), factory, nil); err != nil {
 			t.Errorf("rotate: %v", err)
 		}
 		if i%5 == 4 {
@@ -189,10 +190,10 @@ func TestPoolUnderRotateMigrateReset(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// Probes still coherent after the churn.
-	if _, err := f.InsertBatch(keys); err != nil {
+	if _, err := f.InsertBatch(context.Background(), keys); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.ContainsBatch(keys, nil)); got != len(keys) {
+	if got := len(f.ContainsBatch(context.Background(), keys, nil)); got != len(keys) {
 		t.Fatalf("lost keys after churn: %d hits of %d", got, len(keys))
 	}
 	f.Close()
@@ -214,15 +215,15 @@ func TestPooledContainsBatchZeroAllocs(t *testing.T) {
 	defer f.Close()
 	f.SetPoolSize(2)
 	keys := bigBatch(4, parallelBatchMin)
-	if _, err := f.InsertBatch(keys); err != nil {
+	if _, err := f.InsertBatch(context.Background(), keys); err != nil {
 		t.Fatal(err)
 	}
 	sel := make([]uint32, 0, len(keys))
 	for i := 0; i < 10; i++ { // warm the scratch, job and psel pools
-		sel = f.ContainsBatch(keys, sel[:0])
+		sel = f.ContainsBatch(context.Background(), keys, sel[:0])
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		sel = f.ContainsBatch(keys, sel[:0])
+		sel = f.ContainsBatch(context.Background(), keys, sel[:0])
 	})
 	if avg != 0 {
 		t.Fatalf("pooled ContainsBatch allocates %.1f/op, want 0", avg)
@@ -238,7 +239,7 @@ func TestScratchRetentionCap(t *testing.T) {
 	}
 	defer f.Close()
 	spike := bigBatch(5, maxScratchKeys+1)
-	f.ContainsBatch(spike, make([]uint32, 0, len(spike)))
+	f.ContainsBatch(context.Background(), spike, make([]uint32, 0, len(spike)))
 	// The spike's scratch was discarded on Put, so the pool hands out
 	// nothing sized by it.
 	if sc, _ := f.scratch.Get().(*batchScratch); sc != nil {
@@ -265,16 +266,16 @@ func BenchmarkShardedContainsBatch(b *testing.B) {
 			defer f.Close()
 			f.SetPoolSize(workers)
 			keys := bigBatch(6, parallelBatchMin)
-			if _, err := f.InsertBatch(keys); err != nil {
+			if _, err := f.InsertBatch(context.Background(), keys); err != nil {
 				b.Fatal(err)
 			}
 			sel := make([]uint32, 0, len(keys))
-			sel = f.ContainsBatch(keys, sel[:0])
+			sel = f.ContainsBatch(context.Background(), keys, sel[:0])
 			b.SetBytes(int64(len(keys) * 4))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sel = f.ContainsBatch(keys, sel[:0])
+				sel = f.ContainsBatch(context.Background(), keys, sel[:0])
 			}
 		})
 	}

@@ -115,8 +115,8 @@ type Filter struct {
 	poolMu sync.Mutex
 }
 
-// batchScratch holds one ContainsBatch call's scatter/gather buffers; it
-// is pooled so steady-state probing does not allocate.
+// batchScratch holds one batch call's scatter/gather buffers; it is
+// pooled so steady-state batches do not allocate.
 type batchScratch struct {
 	ids     []uint16   // per-key shard id
 	offsets []uint32   // per-shard run boundaries (len P+1)
@@ -300,48 +300,59 @@ func (f *Filter) insertInto(g *generation, key Key) error {
 	return err
 }
 
-// Insert adds a key to its shard under that shard's write lock. Only
-// cuckoo shards can fail (ErrFull, when the shard's table is saturated).
-//
-// Inserts are lossless across rotations: after the primary insert, the
-// writer re-checks the staging pointer and the current generation and
-// re-inserts into any newer generation it finds, so a key acknowledged
-// while a Rotate is in flight is present after the swap. An error from
-// any generation is returned before the insert is acknowledged (the key
-// may then be present in an older generation — harmless for approximate
+// write is the lossless write protocol behind Insert and InsertBatch. put
+// inserts the caller's keys into one generation (dual marks a replay into
+// a staging or successor generation) and reports how many landed; write
+// runs it against the current generation — the primary insert — and then
+// against every newer generation a concurrent Rotate staged or swapped in,
+// so a write acknowledged while a Rotate is in flight is present after the
+// swap. The count returned is the primary insert's. An error from any
+// generation is returned before the write is acknowledged (its keys may
+// then be present in an older generation — harmless for approximate
 // filters, whose contract is one-sided).
-func (f *Filter) Insert(key Key) error {
+func (f *Filter) write(put func(g *generation, dual bool) (int, error)) (int, error) {
 	g := f.gen.Load()
-	if err := f.insertInto(g, key); err != nil {
-		return err
+	n, err := put(g, false)
+	if err != nil {
+		return n, err
 	}
-	// top is the newest generation known to hold the key. Loop until the
+	// top is the newest generation known to hold the keys. Loop until the
 	// current generation is no newer: each pass catches a rotation that
 	// staged or swapped a replacement after the previous insert landed.
 	// The gen re-check must be the FINAL load before acknowledging — it
 	// proves no swap landed since the staging check, so any rotation the
-	// staging check missed published only after this insert's earlier
+	// staging check missed published only after this write's earlier
 	// operations (including a caller's log append), where the fill's
 	// source observes them. Returning on a nil staging pointer alone
 	// would let a rotation that published, filled, swapped and cleared
-	// staging entirely between the two loads discard the key.
+	// staging entirely between the two loads discard the keys.
 	top := g
 	for {
 		if st := f.staging.Load(); st != nil && st.id > top.id {
-			if err := f.insertInto(st, key); err != nil {
-				return err
+			if _, err := put(st, true); err != nil {
+				return n, err
 			}
 			top = st
 		}
 		cur := f.gen.Load()
 		if cur.id <= top.id {
-			return nil
+			return n, nil
 		}
-		if err := f.insertInto(cur, key); err != nil {
-			return err
+		if _, err := put(cur, true); err != nil {
+			return n, err
 		}
 		top = cur
 	}
+}
+
+// Insert adds a key to its shard under that shard's write lock. Only
+// cuckoo shards can fail (ErrFull, when the shard's table is saturated).
+// Inserts are lossless across rotations (see write).
+func (f *Filter) Insert(key Key) error {
+	_, err := f.write(func(g *generation, _ bool) (int, error) {
+		return 1, f.insertInto(g, key)
+	})
+	return err
 }
 
 // InsertBatch adds a batch of keys, grouping them by shard so each
@@ -352,126 +363,36 @@ func (f *Filter) Insert(key Key) error {
 // batch stops immediately; because keys are processed in shard order,
 // the inserted keys are NOT an input-order prefix — callers recovering
 // from ErrFull should rotate to a larger generation and replay the whole
-// batch rather than resume mid-batch.
-func (f *Filter) InsertBatch(keys []Key) (int, error) {
-	return f.InsertBatchCtx(context.Background(), keys)
-}
-
-// InsertBatchCtx is InsertBatch with request-scoped tracing: when ctx
-// carries a sampled span (obs.SpanFromContext non-nil), each per-shard
-// run emits a "shard.insert" child span with the shard index, generation
-// sequence and key count, and runs replayed into staging or successor
-// generations during a rotation's dual-write window are flagged
-// dual_write=true. Unsampled contexts pay one pointer lookup and
+// batch rather than resume mid-batch. Inserts are lossless across
+// rotations (see write).
+//
+// When ctx carries a sampled span (obs.SpanFromContext non-nil), each
+// per-shard run emits a "shard.insert" child span with the shard index,
+// generation sequence and key count, and runs replayed into staging or
+// successor generations during a rotation's dual-write window are
+// flagged dual_write=true. Unsampled contexts pay one pointer lookup and
 // nothing else.
-func (f *Filter) InsertBatchCtx(ctx context.Context, keys []Key) (int, error) {
+func (f *Filter) InsertBatch(ctx context.Context, keys []Key) (int, error) {
 	parent := obs.SpanFromContext(ctx)
-	n := len(keys)
-	if n == 0 {
+	if len(keys) == 0 {
 		return 0, nil
 	}
-	g := f.gen.Load()
-	p := len(g.shards)
+	p := f.NumShards()
+	// A single shard's run is the whole batch, so it skips the scatter.
+	// Otherwise the scatter is generation-independent (rotations preserve
+	// the shard count): the same grouped runs replay into staging and
+	// successor generations.
 	var sc *batchScratch
 	if p > 1 {
-		sc, _ = f.scratch.Get().(*batchScratch)
-		if sc == nil {
-			sc = new(batchScratch)
-		}
-		sc.resizeScatter(n, p)
+		sc = f.scatter(keys, p, false)
 		defer f.putScratch(sc)
-
-		ids, offsets := sc.ids, sc.offsets
-		for i, k := range keys {
-			s := f.ShardOf(k)
-			ids[i] = uint16(s)
-			offsets[s+1]++
-		}
-		for s := 0; s < p; s++ {
-			offsets[s+1] += offsets[s]
-		}
-		skeys, cursor := sc.skeys, sc.cursor
-		copy(cursor, offsets[:p])
-		for i, k := range keys {
-			s := ids[i]
-			skeys[cursor[s]] = k
-			cursor[s]++
-		}
 	}
-	// The scatter is generation-independent (rotations preserve the shard
-	// count), so the same grouped runs replay into staging and successor
-	// generations for the lossless re-check below.
-	insertAll := func(g *generation, dual bool) (int, error) {
-		if p == 1 {
-			var c *obs.Span
-			if parent != nil {
-				c = parent.StartChild("shard.insert")
-				c.SetAttr("shard", 0)
-				c.SetAttr("generation", g.seq)
-				c.SetAttr("keys", n)
-				if dual {
-					c.SetAttr("dual_write", true)
-				}
-			}
-			s := g.shards[0]
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			defer c.End()
-			for i, k := range keys {
-				if err := s.f.Insert(k); err != nil {
-					c.SetAttr("error", err.Error())
-					return i, err
-				}
-				s.count++
-			}
-			return n, nil
+	return f.write(func(g *generation, dual bool) (int, error) {
+		if sc == nil {
+			return insertRun(g, keys, parent, 0, dual)
 		}
-		// Large batches take the same persistent-pool fan-out as the
-		// probe gather (distinct shards, distinct write locks); the rest
-		// run the shard loop on this goroutine.
-		if n >= parallelBatchMin {
-			if pl := f.pool(); pl.running() {
-				mPoolBatchesParallel.Inc()
-				return f.parallelGather(pl, g, sc, parent, p, true, dual)
-			}
-		}
-		mPoolBatchesSeq.Inc()
-		inserted := 0
-		for s := 0; s < p; s++ {
-			count, err := insertRun(g, sc, parent, s, dual)
-			inserted += count
-			if err != nil {
-				return inserted, err
-			}
-		}
-		return inserted, nil
-	}
-
-	inserted, err := insertAll(g, false)
-	if err != nil {
-		return inserted, err
-	}
-	// Lossless re-check, mirroring Insert (gen re-checked last): replay
-	// the batch into any newer generation a concurrent Rotate staged or
-	// swapped in. These replays are the dual-write window's cost; their
-	// spans carry dual_write=true.
-	top := g
-	for {
-		if st := f.staging.Load(); st != nil && st.id > top.id {
-			if _, err := insertAll(st, true); err != nil {
-				return inserted, err
-			}
-			top = st
-		}
-		cur := f.gen.Load()
-		if cur.id <= top.id {
-			return inserted, nil
-		}
-		if _, err := insertAll(cur, true); err != nil {
-			return inserted, err
-		}
-		top = cur
-	}
+		return f.gather(g, sc, parent, true, dual)
+	})
 }
 
 // Contains reports whether key may be in the set (no false negatives for
@@ -491,17 +412,13 @@ func (f *Filter) Contains(key Key) bool {
 // for batches of at least parallelBatchMin keys), and the per-shard hits
 // are merged back in ascending position order — byte-identical to probing
 // the shards sequentially and to the scalar Contains path.
-func (f *Filter) ContainsBatch(keys []Key, sel core.SelVec) core.SelVec {
-	return f.ContainsBatchCtx(context.Background(), keys, sel)
-}
-
-// ContainsBatchCtx is ContainsBatch with request-scoped tracing: when
-// ctx carries a sampled span, each probed shard emits a "shard.probe"
-// child span with the shard index, generation sequence, key count and
-// hit count — safe under the parallel gather (spans lock only
-// themselves). Unsampled contexts pay one pointer lookup and nothing
-// else.
-func (f *Filter) ContainsBatchCtx(ctx context.Context, keys []Key, sel core.SelVec) core.SelVec {
+//
+// When ctx carries a sampled span, each probed shard emits a
+// "shard.probe" child span with the shard index, generation sequence,
+// key count and hit count — safe under the parallel gather (spans lock
+// only themselves). Unsampled contexts pay one pointer lookup and
+// nothing else.
+func (f *Filter) ContainsBatch(ctx context.Context, keys []Key, sel core.SelVec) core.SelVec {
 	parent := obs.SpanFromContext(ctx)
 	g := f.gen.Load()
 	p := len(g.shards)
@@ -524,19 +441,41 @@ func (f *Filter) ContainsBatchCtx(ctx context.Context, keys []Key, sel core.SelV
 		}
 		return sel
 	}
-	n := len(keys)
-	if n == 0 {
+	if len(keys) == 0 {
 		return sel
 	}
+	sc := f.scatter(keys, p, true)
+	defer f.putScratch(sc)
+	// Gather: probe each shard's run and mark hits at original positions.
+	// Distinct shards own distinct positions (and distinct psel slots),
+	// so workers never write the same element.
+	f.gather(g, sc, parent, false, false)
+
+	// Merge, preserving batch order.
+	for i, hit := range sc.hits {
+		if hit {
+			sel = append(sel, uint32(i))
+		}
+	}
+	return sel
+}
+
+// scatter is the counting sort both batch paths share: it takes a pooled
+// scratch (return it with putScratch) and groups keys into per-shard
+// contiguous runs (run s is sc.run(s)). For a probe it also records each
+// scattered key's original batch position and prepares the hit flags and
+// per-shard selections.
+func (f *Filter) scatter(keys []Key, p int, probe bool) *batchScratch {
 	sc, _ := f.scratch.Get().(*batchScratch)
 	if sc == nil {
 		sc = new(batchScratch)
 	}
-	sc.resizeGather(n, p)
-	defer f.putScratch(sc)
-
-	// Scatter: counting sort the batch into per-shard contiguous runs,
-	// remembering each scattered key's original position.
+	n := len(keys)
+	if probe {
+		sc.resizeGather(n, p)
+	} else {
+		sc.resizeScatter(n, p)
+	}
 	ids, offsets := sc.ids, sc.offsets
 	for i, k := range keys {
 		s := f.ShardOf(k)
@@ -552,37 +491,47 @@ func (f *Filter) ContainsBatchCtx(ctx context.Context, keys []Key, sel core.SelV
 		s := ids[i]
 		at := cursor[s]
 		skeys[at] = k
-		sidx[at] = uint32(i)
+		if probe {
+			sidx[at] = uint32(i)
+		}
 		cursor[s]++
 	}
+	return sc
+}
 
-	// Gather: probe each shard's run; mark hits at original positions.
-	// Distinct shards own distinct positions (and distinct psel slots),
-	// so workers never write the same element. Large batches recruit the
-	// persistent worker pool; everything else runs on this goroutine —
-	// no goroutine is ever spawned per batch.
-	parallel := false
-	if n >= parallelBatchMin {
+// gather runs every shard's scattered run in generation g: probes under
+// read locks, or inserts (replaying into a staging or successor
+// generation when dual) under write locks. Batches of at least
+// parallelBatchMin keys recruit the persistent worker pool; the rest run
+// the shard loop on this goroutine — no goroutine is ever spawned per
+// batch. Inserts report the keys inserted and stop at the first error.
+func (f *Filter) gather(g *generation, sc *batchScratch, parent *obs.Span, insert, dual bool) (int, error) {
+	p := len(sc.cursor) // scatter sizes one cursor per shard
+	if len(sc.skeys) >= parallelBatchMin {
 		if pl := f.pool(); pl.running() {
-			parallel = true
 			mPoolBatchesParallel.Inc()
-			f.parallelGather(pl, g, sc, parent, p, false, false)
+			return f.parallelGather(pl, g, sc, parent, p, insert, dual)
 		}
 	}
-	if !parallel {
-		mPoolBatchesSeq.Inc()
-		for s := 0; s < p; s++ {
+	mPoolBatchesSeq.Inc()
+	inserted := 0
+	for s := 0; s < p; s++ {
+		if !insert {
 			probeRun(g, sc, parent, s)
+			continue
+		}
+		count, err := insertRun(g, sc.run(s), parent, s, dual)
+		inserted += count
+		if err != nil {
+			return inserted, err
 		}
 	}
+	return inserted, nil
+}
 
-	// Merge, preserving batch order.
-	for i, hit := range sc.hits {
-		if hit {
-			sel = append(sel, uint32(i))
-		}
-	}
-	return sel
+// run returns shard s's scattered keys.
+func (sc *batchScratch) run(s int) []Key {
+	return sc.skeys[sc.offsets[s]:sc.offsets[s+1]]
 }
 
 // probeRun probes shard s's scattered run under its read lock and marks
@@ -615,13 +564,12 @@ func probeRun(g *generation, sc *batchScratch, parent *obs.Span, s int) {
 	}
 }
 
-// insertRun inserts shard s's scattered run under its write lock — the
-// per-shard unit both the sequential insert loop and the pool workers
-// execute. It returns how many keys landed before any error; on error
-// the run stops at the failing key.
-func insertRun(g *generation, sc *batchScratch, parent *obs.Span, s int, dual bool) (int, error) {
-	lo, hi := sc.offsets[s], sc.offsets[s+1]
-	if lo == hi {
+// insertRun inserts run, shard s's keys, under that shard's write lock —
+// the per-shard unit the single-shard path, the sequential insert loop
+// and the pool workers all execute. It returns how many keys landed
+// before any error; on error the run stops at the failing key.
+func insertRun(g *generation, run []Key, parent *obs.Span, s int, dual bool) (int, error) {
+	if len(run) == 0 {
 		return 0, nil
 	}
 	var c *obs.Span
@@ -629,14 +577,14 @@ func insertRun(g *generation, sc *batchScratch, parent *obs.Span, s int, dual bo
 		c = parent.StartChild("shard.insert")
 		c.SetAttr("shard", s)
 		c.SetAttr("generation", g.seq)
-		c.SetAttr("keys", int(hi-lo))
+		c.SetAttr("keys", len(run))
 		if dual {
 			c.SetAttr("dual_write", true)
 		}
 	}
 	sh := g.shards[s]
 	sh.mu.Lock()
-	for i, k := range sc.skeys[lo:hi] {
+	for i, k := range run {
 		if err := sh.f.Insert(k); err != nil {
 			sh.mu.Unlock()
 			if c != nil {
@@ -651,7 +599,7 @@ func insertRun(g *generation, sc *batchScratch, parent *obs.Span, s int, dual bo
 	if c != nil {
 		c.End()
 	}
-	return int(hi - lo), nil
+	return len(run), nil
 }
 
 // Rotate builds a complete replacement generation off to the side and
@@ -672,31 +620,24 @@ func insertRun(g *generation, sc *batchScratch, parent *obs.Span, s int, dual bo
 // rotation replaces the filter's contents. Combine a key log that
 // writers append to before inserting with a fill that replays it, and
 // the two windows overlap — no acknowledged write is ever lost.
-func (f *Filter) Rotate(factory Factory, fill func(insert func(Key) error) error) error {
-	return f.RotateCtx(context.Background(), factory, fill)
-}
-
-// RotateCtx is Rotate with request-scoped tracing: when ctx carries a
-// sampled span, the rotation emits a "sharded.rotate" child covering
-// construction through swap — annotated with the shard count, target
-// generation sequence, dual-write window length and, for build-once
-// kinds, a nested "sharded.seal" span over the solve loop.
-func (f *Filter) RotateCtx(ctx context.Context, factory Factory, fill func(insert func(Key) error) error) error {
+//
+// When ctx carries a sampled span, the rotation emits a "sharded.rotate"
+// child covering construction through swap — annotated with the shard
+// count, target generation sequence, dual-write window length and, for
+// build-once kinds, a nested "sharded.seal" span over the solve loop.
+func (f *Filter) Rotate(ctx context.Context, factory Factory, fill func(insert func(Key) error) error) (err error) {
 	_, sp := obs.StartSpan(ctx, "sharded.rotate")
 	start := time.Now()
-	err := f.rotate(sp, factory, fill)
-	mRotationDur.Observe(time.Since(start).Nanoseconds())
-	if err != nil {
-		mRotationAborts.Inc()
-		sp.SetAttr("error", err.Error())
-	} else {
-		mRotations.Inc()
-	}
-	sp.End()
-	return err
-}
-
-func (f *Filter) rotate(sp *obs.Span, factory Factory, fill func(insert func(Key) error) error) error {
+	defer func() {
+		mRotationDur.Observe(time.Since(start).Nanoseconds())
+		if err != nil {
+			mRotationAborts.Inc()
+			sp.SetAttr("error", err.Error())
+		} else {
+			mRotations.Inc()
+		}
+		sp.End()
+	}()
 	f.rotateMu.Lock()
 	defer f.rotateMu.Unlock()
 	if factory == nil {

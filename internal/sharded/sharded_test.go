@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -110,7 +111,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 						probe[i] = r.Uint32() &^ 1 // never inserted
 					}
 				}
-				sel := f.ContainsBatch(probe, nil)
+				sel := f.ContainsBatch(context.Background(), probe, nil)
 				j := 0
 				for i, k := range probe {
 					want := f.Contains(k)
@@ -149,7 +150,7 @@ func TestBatchMatchesSequentialShards(t *testing.T) {
 	for i := range probe {
 		probe[i] = r.Uint32()
 	}
-	got := f.ContainsBatch(probe, nil)
+	got := f.ContainsBatch(context.Background(), probe, nil)
 
 	g := f.gen.Load()
 	var want []uint32
@@ -184,7 +185,7 @@ func TestRotate(t *testing.T) {
 	}
 
 	// Rotate with a fill that carries over the even keys only.
-	err = f.Rotate(nil, func(insert func(Key) error) error {
+	err = f.Rotate(context.Background(), nil, func(insert func(Key) error) error {
 		for _, k := range keys {
 			if k%2 == 0 {
 				if err := insert(k); err != nil {
@@ -212,7 +213,7 @@ func TestRotate(t *testing.T) {
 
 	// A failing factory must leave the current generation untouched.
 	boom := errors.New("boom")
-	err = f.Rotate(func() (Inner, error) { return nil, boom }, nil)
+	err = f.Rotate(context.Background(), func() (Inner, error) { return nil, boom }, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Rotate with failing factory: err = %v", err)
 	}
@@ -302,7 +303,7 @@ func TestConcurrentInsertProbe(t *testing.T) {
 				for i := range probe {
 					probe[i] = r.Uint32()
 				}
-				sel = f.ContainsBatch(probe, sel[:0])
+				sel = f.ContainsBatch(context.Background(), probe, sel[:0])
 				for i := 1; i < len(sel); i++ {
 					if sel[i] <= sel[i-1] {
 						errCh <- fmt.Errorf("selection vector not ascending")
@@ -371,7 +372,7 @@ func TestRotateLosslessUnderWriters(t *testing.T) {
 					logMu.Lock()
 					log = append(log, batch[1])
 					logMu.Unlock()
-					if _, err := f.InsertBatch(batch); err != nil {
+					if _, err := f.InsertBatch(context.Background(), batch); err != nil {
 						errCh <- err
 						return
 					}
@@ -402,7 +403,7 @@ func TestRotateLosslessUnderWriters(t *testing.T) {
 				return
 			default:
 			}
-			err := f.Rotate(nil, func(insert func(Key) error) error {
+			err := f.Rotate(context.Background(), nil, func(insert func(Key) error) error {
 				for _, k := range snapshotLog() {
 					if err := insert(k); err != nil {
 						return err
@@ -427,7 +428,7 @@ func TestRotateLosslessUnderWriters(t *testing.T) {
 	}
 
 	acknowledged := snapshotLog()
-	sel := f.ContainsBatch(acknowledged, nil)
+	sel := f.ContainsBatch(context.Background(), acknowledged, nil)
 	if len(sel) != len(acknowledged) {
 		// Identify a lost key for the failure message.
 		miss := 0
@@ -454,13 +455,13 @@ func TestAbortedRotationConsumesID(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	if err := f.Rotate(nil, func(insert func(Key) error) error { return boom }); !errors.Is(err, boom) {
+	if err := f.Rotate(context.Background(), nil, func(insert func(Key) error) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("aborted rotation: err = %v", err)
 	}
 	if f.Generation() != 0 {
 		t.Fatalf("generation = %d after aborted rotation, want 0", f.Generation())
 	}
-	if err := f.Rotate(nil, nil); err != nil {
+	if err := f.Rotate(context.Background(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := f.gen.Load()
@@ -479,7 +480,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Rotate(nil, nil); err != nil {
+	if err := f.Rotate(context.Background(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := rng.NewMT19937(5)
@@ -526,7 +527,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatalf("restored shards=%d gen=%d count=%d, want 4/1/%d",
 			back.NumShards(), back.Generation(), back.Count(), f.Count())
 	}
-	sel := back.ContainsBatch(keys, nil)
+	sel := back.ContainsBatch(context.Background(), keys, nil)
 	if len(sel) != len(keys) {
 		t.Fatalf("%d of %d keys present after restore", len(sel), len(keys))
 	}
@@ -601,14 +602,14 @@ func TestInsertBatch(t *testing.T) {
 			for i := range keys {
 				keys[i] = r.Uint32()
 			}
-			n, err := f.InsertBatch(keys)
+			n, err := f.InsertBatch(context.Background(), keys)
 			if err != nil || n != len(keys) {
 				t.Fatalf("InsertBatch = (%d, %v), want (%d, nil)", n, err, len(keys))
 			}
 			if got := f.Count(); got != uint64(len(keys)) {
 				t.Fatalf("Count = %d after batch insert of %d", got, len(keys))
 			}
-			sel := f.ContainsBatch(keys, nil)
+			sel := f.ContainsBatch(context.Background(), keys, nil)
 			if len(sel) != len(keys) {
 				t.Fatalf("%d of %d batch-inserted keys visible", len(sel), len(keys))
 			}
@@ -629,7 +630,7 @@ func TestInsertBatchStopsWhenFull(t *testing.T) {
 	for i := range keys {
 		keys[i] = r.Uint32()
 	}
-	n, err := f.InsertBatch(keys)
+	n, err := f.InsertBatch(context.Background(), keys)
 	if err == nil {
 		t.Fatal("InsertBatch on saturating shards returned no error")
 	}

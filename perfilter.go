@@ -34,7 +34,7 @@
 // readers; writes need external synchronization — or use NewSharded,
 // which partitions any configuration across per-shard locks for
 // multi-core writers, scatter/gather batch probes, and atomic generation
-// rotation (see ConcurrentFilter).
+// rotation (see Sharded).
 package perfilter
 
 import (

@@ -74,8 +74,8 @@ func Marshal(f Filter) ([]byte, error) {
 // parameters. The decoder is picked by the leading wire magic; decode
 // failures surface the kind-specific error, wrapped with the magic that
 // selected the decoder, so a corrupted payload always names the format it
-// claimed to be. A sharded envelope yields a *Sharded (assert to
-// ConcurrentFilter for the concurrent API).
+// claimed to be. A sharded envelope yields a *Sharded (assert to it for
+// the concurrent API).
 func Unmarshal(data []byte) (Filter, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("perfilter: filter encoding truncated (%d bytes, no magic)", len(data))
@@ -225,8 +225,7 @@ func UnmarshalSharded(data []byte) (*Sharded, error) {
 	if off != len(data) {
 		return nil, fmt.Errorf("perfilter: %d trailing bytes after sharded envelope", len(data)-off)
 	}
-	sh := &Sharded{cfg: cfg}
-	sh.perShard = perShard
+	sh := &Sharded{cfg: cfg, perShard: perShard}
 	s, err := sharded.Restore(snap, func(payload []byte) (sharded.Inner, error) {
 		f, err := Unmarshal(payload)
 		if err != nil {
@@ -240,7 +239,7 @@ func UnmarshalSharded(data []byte) (*Sharded, error) {
 			return nil, fmt.Errorf("perfilter: shard payload type %T does not match envelope kind %s", f, cfg.Kind)
 		}
 		return f, nil
-	}, sh.factory(perShard))
+	}, factoryFor(cfg, perShard))
 	if err != nil {
 		return nil, err
 	}

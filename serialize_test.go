@@ -2,6 +2,7 @@ package perfilter
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestMarshalRoundTripSharded(t *testing.T) {
 			}
 			// Rotate once so the envelope records a non-zero sequence, then
 			// fill the live generation through the batch path.
-			if err := f.Rotate(0, nil); err != nil {
+			if err := f.Rotate(context.Background(), 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := f.InsertBatch(build); err != nil {
@@ -182,7 +183,7 @@ func TestMarshalRoundTripSharded(t *testing.T) {
 			}
 			// Rotation still works on the restored wrapper (the factory was
 			// rebuilt from the envelope's configuration).
-			if err := back.Rotate(0, nil); err != nil {
+			if err := back.Rotate(context.Background(), 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			if back.Generation() != f.Generation()+1 {

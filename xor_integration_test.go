@@ -2,6 +2,7 @@ package perfilter
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -94,7 +95,7 @@ func TestShardedXorRotationSealsAndRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	build, probe := buildKeys(n)
-	if err := s.Rotate(0, func(insert func(Key) error) error {
+	if err := s.Rotate(context.Background(), 0, func(insert func(Key) error) error {
 		for _, k := range build {
 			if err := insert(k); err != nil {
 				return err
