@@ -424,6 +424,14 @@ type AdaptiveAdvice struct {
 	Reason       string
 }
 
+const reasonAtBest = "already at the recommended configuration"
+
+// atBest reports that the recommendation is the deployed configuration at
+// its deployed size, so migrating to it would change nothing.
+func (adv AdaptiveAdvice) atBest() bool {
+	return adv.Best.Config == adv.Current.Config && adv.Best.MBits == adv.Current.MBits
+}
+
 // Advice re-runs the advisor against the observed workload without acting
 // on the answer. For a stationary workload whose Tw and σ match the
 // configured ones, Best reproduces the static Advise answer exactly.
@@ -478,8 +486,8 @@ func (a *Adaptive) adviceAt(lastMigration time.Time, baseline adaptive.Counters,
 		reason = fmt.Sprintf("writes resumed on an immutable filter (%d inserts, %.1f%% of the window)",
 			adv.Window.Inserts, adv.Window.InsertFraction()*100)
 	}
-	if ok && best.Config == cur.Config && best.MBits == cur.MBits {
-		ok, reason = false, "already at the recommended configuration"
+	if ok && adv.atBest() {
+		ok, reason = false, reasonAtBest
 	}
 	if ok && !a.canMigrate() {
 		ok, reason = false, "key log incomplete after restore"
@@ -489,16 +497,21 @@ func (a *Adaptive) adviceAt(lastMigration time.Time, baseline adaptive.Counters,
 }
 
 // Reoptimize runs one control-loop pass: re-advise against the observed
-// workload and migrate if the policy's hysteresis margin is cleared. The
-// returned decision is also appended to the history. Call it on your own
-// schedule; filter-server's -autotune sweep paces its own passes.
+// workload and migrate if the policy's hysteresis margin is cleared, or
+// regardless with force (unless already at the recommendation). It is the
+// only code that turns advice into a migration; call it on your own
+// schedule (filter-server's autotune sweep and empty-body migrate do).
+// admit, when non-nil, wraps the rebuild: it calls build once, or refuses
+// with an error (filter-server reserves mBits against its memory budget).
+// admit runs under the filter's lock, so it must not call back into a.
 //
-// The pass runs under an "adaptive.evaluate" span — a child when ctx
-// already carries a sampled span, otherwise a forced root on the process
-// tracer — annotated with the observed workload (n, σ), the modeled
-// overheads ρ_cur/ρ_new, the verdict and its reason, so a migration in
-// the trace ring links back to the workload evidence that triggered it.
-func (a *Adaptive) Reoptimize(ctx context.Context) (adaptive.Decision, error) {
+// Every pass records one decision (a refused or failed migration with the
+// error as its reason), counts one evaluation, plus one rejection when it
+// declines, and ends one "adaptive.evaluate" span: a child of a sampled
+// span in ctx, else a forced root on the process tracer. The span carries
+// the observed workload (n, σ), the modeled ρ_cur/ρ_new, the verdict and
+// its reason. The returned advice is the evidence for the verdict.
+func (a *Adaptive) Reoptimize(ctx context.Context, force bool, admit func(mBits uint64, build func() error) error) (adaptive.Decision, AdaptiveAdvice, error) {
 	var sp *obs.Span
 	if obs.SpanFromContext(ctx) != nil {
 		ctx, sp = obs.StartSpan(ctx, "adaptive.evaluate")
@@ -512,55 +525,59 @@ func (a *Adaptive) Reoptimize(ctx context.Context) (adaptive.Decision, error) {
 	adv, err := a.adviceAt(a.lastMigration, a.baseline, 0)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
-		return adaptive.Decision{}, err
+		return adaptive.Decision{}, AdaptiveAdvice{}, err
+	}
+	d := newDecision(adv.Workload.N, adv.Current.Config, adv.Best.Config, adv.Best.MBits, adv.Reason)
+	d.Sigma, d.Window, d.Margin = adv.Workload.Sigma, adv.Window, a.opts.Policy.Margin
+	d.CurrentRho, d.BestRho = adv.Current.Overhead, adv.Best.Overhead
+	migrate := adv.WouldMigrate
+	if force && !migrate {
+		if adv.atBest() {
+			d.Reason = reasonAtBest
+		} else {
+			migrate, d.Reason = true, "forced ("+adv.Reason+")"
+		}
+	}
+	if migrate {
+		build := func() error { return a.migrateLocked(ctx, adv.Best.Config, adv.Best.MBits) }
+		if admit == nil {
+			err = build()
+		} else {
+			err = admit(adv.Best.MBits, build)
+		}
+	}
+	switch {
+	case !migrate:
+		mRejections.Inc()
+	case err != nil:
+		d.Reason = "migration failed: " + err.Error()
+		sp.SetAttr("error", err.Error())
+	default:
+		d.Migrated = true
+		a.lastMigration = d.At
 	}
 	sp.SetAttr("n", adv.Workload.N)
 	sp.SetAttr("sigma", adv.Workload.Sigma)
 	sp.SetAttr("rho_cur", adv.Current.Overhead)
 	sp.SetAttr("rho_new", adv.Best.Overhead)
-	sp.SetAttr("current", adv.Current.Config.String())
-	sp.SetAttr("best", adv.Best.Config.String())
-	sp.SetAttr("would_migrate", adv.WouldMigrate)
-	sp.SetAttr("reason", adv.Reason)
-	d := decisionFrom(adv)
-	d.Margin = a.opts.Policy.Margin
-	if adv.WouldMigrate {
-		if err := a.migrateLocked(ctx, adv.Best.Config, adv.Best.MBits); err != nil {
-			d.Reason = "migration failed: " + err.Error()
-			sp.SetAttr("error", err.Error())
-			a.record(d)
-			return d, err
-		}
-		d.Migrated = true
-		a.lastMigration = d.At
-	} else {
-		mRejections.Inc()
-	}
+	sp.SetAttr("current", d.Current)
+	sp.SetAttr("best", d.Best)
+	sp.SetAttr("would_migrate", migrate)
+	sp.SetAttr("reason", d.Reason)
 	sp.SetAttr("migrated", d.Migrated)
-	a.record(d)
-	return d, nil
+	a.trace.Add(d)
+	return d, adv, err
 }
 
 // Migrate forces a live migration to an explicit configuration and size,
-// bypassing the hysteresis policy (the server's migrate endpoint). mBits 0
-// keeps the current size. The same losslessness guarantees apply. A
-// sampled span in ctx gains the sharded layer's "sharded.rotate" child
-// (and seal span for build-once targets).
+// bypassing the hysteresis policy (the server's migrate endpoint with an
+// explicit target). mBits 0 keeps the current size. The same losslessness
+// guarantees apply. A sampled span in ctx gains the sharded layer's
+// "sharded.rotate" child (and seal span for build-once targets).
 func (a *Adaptive) Migrate(ctx context.Context, cfg Config, mBits uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	prev := a.s.Config()
-	if err := a.migrateLocked(ctx, cfg, mBits); err != nil {
-		return err
-	}
-	now := time.Now().UTC()
-	a.lastMigration = now
-	a.record(adaptive.Decision{
-		At: now, N: a.s.Count(), Current: prev.String(), Best: cfg.String(),
-		BestMBits: mBits, KindChanged: cfg.Kind != prev.Kind, Migrated: true,
-		Reason: "explicit migration",
-	})
-	return nil
+	return a.migrateAs(ctx, cfg, mBits, newDecision(a.s.Count(), a.s.Config(), cfg, mBits, "explicit migration"))
 }
 
 // migrateLocked rebuilds the filter as cfg/mBits from a key-log snapshot
@@ -622,38 +639,31 @@ func (a *Adaptive) recoverFull(ctx context.Context, sawBits, incoming uint64) (b
 	if adv, err := Advise(w); err == nil && adv.MBits > sawBits {
 		cfg, mBits = adv.Config, adv.MBits
 	}
-	if err := a.migrateLocked(ctx, cfg, mBits); err != nil {
+	if err := a.migrateAs(ctx, cfg, mBits, newDecision(w.N/2, prev, cfg, mBits, "emergency grow after ErrFull")); err != nil {
 		return false, err
 	}
-	now := time.Now().UTC()
-	a.lastMigration = now
-	a.record(adaptive.Decision{
-		At: now, N: w.N / 2, Current: prev.String(), Best: cfg.String(),
-		BestMBits: mBits, KindChanged: cfg.Kind != prev.Kind, Migrated: true,
-		Reason: "emergency grow after ErrFull",
-	})
 	return true, nil
 }
 
-func decisionFrom(adv AdaptiveAdvice) adaptive.Decision {
+// newDecision starts a decision record, stamped now, for moving n keys
+// from the deployed configuration cur to best at bestMBits bits.
+func newDecision(n uint64, cur, best Config, bestMBits uint64, reason string) adaptive.Decision {
 	return adaptive.Decision{
-		At:          time.Now().UTC(),
-		N:           adv.Workload.N,
-		Sigma:       adv.Workload.Sigma,
-		Current:     adv.Current.Config.String(),
-		CurrentRho:  adv.Current.Overhead,
-		Best:        adv.Best.Config.String(),
-		BestMBits:   adv.Best.MBits,
-		BestRho:     adv.Best.Overhead,
-		KindChanged: adv.KindChange,
-		Reason:      adv.Reason,
-		Window:      adv.Window,
+		At: time.Now().UTC(), N: n, Current: cur.String(), Best: best.String(),
+		BestMBits: bestMBits, KindChanged: best.Kind != cur.Kind, Reason: reason,
 	}
 }
 
-// record appends to the decision trace ring buffer.
-func (a *Adaptive) record(d adaptive.Decision) {
+// migrateAs migrates to cfg/mBits and records d as the completed
+// migration, restarting the policy's cooldown from it. Callers hold mu.
+func (a *Adaptive) migrateAs(ctx context.Context, cfg Config, mBits uint64, d adaptive.Decision) error {
+	if err := a.migrateLocked(ctx, cfg, mBits); err != nil {
+		return err
+	}
+	d.Migrated = true
+	a.lastMigration = d.At
 	a.trace.Add(d)
+	return nil
 }
 
 // Decisions returns a copy of the retained decision history, oldest

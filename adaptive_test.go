@@ -296,7 +296,7 @@ func TestAdaptiveLiveCrossover(t *testing.T) {
 			t.Fatalf("insert at n=%d: %v", n, err)
 		}
 		n += uint64(len(batch))
-		if _, err := a.Reoptimize(context.Background()); err != nil {
+		if _, _, err := a.Reoptimize(context.Background(), false, nil); err != nil {
 			t.Fatalf("reoptimize at n=%d: %v", n, err)
 		}
 	}
@@ -730,7 +730,7 @@ func TestAdaptiveReadMostlyCrossoverToXor(t *testing.T) {
 	if adv.Best.Config.Kind != Xor {
 		t.Fatalf("read-mostly best is %s, want xor", adv.Best.Config)
 	}
-	d, err := a.Reoptimize(context.Background())
+	d, _, err := a.Reoptimize(context.Background(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +753,7 @@ func TestAdaptiveReadMostlyCrossoverToXor(t *testing.T) {
 	if sel := a.ContainsBatch(resumed, nil); len(sel) != len(resumed) {
 		t.Fatalf("only %d of %d resumed writes queryable on the live xor generation", len(sel), len(resumed))
 	}
-	d, err = a.Reoptimize(context.Background())
+	d, _, err = a.Reoptimize(context.Background(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func BenchmarkFig01SkylineSummary(b *testing.B) {
 
 func BenchmarkFig02JoinPushdown(b *testing.B) {
 	// The Fig. 2 scenario measured end-to-end: σ=0.05 probe pipeline with
-	// and without pushdown (see examples/joinpushdown for the full sweep).
+	// and without pushdown.
 	bp := benchWorkload(b)
 	ht := benchHashTable(bp)
 	filter, err := NewRegisterBlockedBloom(4, uint64(len(bp.build))*12)

@@ -81,7 +81,7 @@ func runAdaptive(tw float64, quick bool) ([]bench.Series, *bench.AdaptiveSummary
 			return nil, nil, fmt.Errorf("insert at n=%d: %w", n, err)
 		}
 		n += uint64(len(batch))
-		d, err := a.Reoptimize(context.Background())
+		d, _, err := a.Reoptimize(context.Background(), false, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("reoptimize at n=%d: %w", n, err)
 		}

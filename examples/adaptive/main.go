@@ -61,7 +61,7 @@ func main() {
 			log.Fatal(err)
 		}
 		n += perfilter.Key(len(batch))
-		if _, err := a.Reoptimize(context.Background()); err != nil {
+		if _, _, err := a.Reoptimize(context.Background(), false, nil); err != nil {
 			log.Fatal(err)
 		}
 		// Probes feed the σ estimate (and are what the filter is for).

@@ -3,10 +3,21 @@ package perfilter
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
 )
+
+// goldenCapture makes the golden tests log their current values in
+// pinnable form; run
+//
+//	go test -run 'TestGoldenEnvelopes|TestGoldenAdvise' -v -golden-capture
+//
+// and paste the output over the golden tables below when intentionally
+// changing a wire format or the cost model.
+var goldenCapture = flag.Bool("golden-capture", false,
+	"log the golden envelope digests and advise lines in pinnable form")
 
 // The golden equivalence suite pins observable behaviour across the
 // kind-descriptor refactor: the exact serialized bytes of every wire
@@ -166,7 +177,7 @@ func goldenFilters(t *testing.T) []struct {
 }
 
 // goldenEnvelopes holds the pinned wire digests ("len:sha256prefix"),
-// captured pre-refactor. See TestGoldenCapture to regenerate.
+// captured pre-refactor. See goldenCapture to regenerate.
 var goldenEnvelopes = map[string]string{
 	"blocked":          "8222:22e26a22aca31164",
 	"register-blocked": "8222:e6da436eccda5799",
@@ -191,6 +202,9 @@ var goldenEnvelopes = map[string]string{
 func TestGoldenEnvelopes(t *testing.T) {
 	for _, g := range goldenFilters(t) {
 		got := goldenDigest(t, g.f)
+		if *goldenCapture {
+			t.Logf("%q: %q,", g.name, got)
+		}
 		want, ok := goldenEnvelopes[g.name]
 		if !ok {
 			t.Errorf("%s: no pinned digest", g.name)
@@ -310,6 +324,9 @@ func TestGoldenAdvise(t *testing.T) {
 	}
 	for i, w := range ws {
 		got := adviseLine(Advise(w))
+		if *goldenCapture {
+			t.Logf("%q,", got)
+		}
 		if got != goldenAdvise[i] {
 			t.Errorf("workload %d (%+v):\n got %s\nwant %s", i, w, got, goldenAdvise[i])
 		}
@@ -380,20 +397,5 @@ func TestGoldenMigrationDecisions(t *testing.T) {
 		if got[i] != goldenDecisions[i] {
 			t.Errorf("decision %d:\n got %s\nwant %s", i, got[i], goldenDecisions[i])
 		}
-	}
-}
-
-// TestGoldenCapture prints the current values in pinnable form; run with
-//
-//	go test -run TestGoldenCapture -v
-//
-// and paste the output over the golden tables above when intentionally
-// changing a wire format or the cost model.
-func TestGoldenCapture(t *testing.T) {
-	for _, g := range goldenFilters(t) {
-		t.Logf("envelope %q: %q,", g.name, goldenDigest(t, g.f))
-	}
-	for _, w := range goldenWorkloads() {
-		t.Logf("advise %q,", adviseLine(Advise(w)))
 	}
 }

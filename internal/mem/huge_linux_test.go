@@ -1,10 +1,11 @@
 package mem
 
 import (
-	"bufio"
 	"bytes"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,59 +23,101 @@ func skipWithoutTHP(t *testing.T) {
 	}
 }
 
-// anonHugeKB sums AnonHugePages over the mappings of /proc/self/smaps that
-// overlap [addr, addr+size).
-func anonHugeKB(t *testing.T, addr, size uintptr) int {
+// mapping is one /proc/self/smaps entry: the range [start, end), its
+// AnonHugePages in kB, and whether its VmFlags carry "hg", the flag
+// madvise(MADV_HUGEPAGE) sets.
+type mapping struct {
+	start, end uintptr
+	hugeKB     int
+	advised    bool
+}
+
+// smaps parses the mappings of /proc/self/smaps that overlap [lo, hi).
+func smaps(t *testing.T, lo, hi uintptr) []mapping {
 	t.Helper()
-	f, err := os.Open("/proc/self/smaps")
+	b, err := os.ReadFile("/proc/self/smaps")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	total, overlap := 0, false
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
+	var out []mapping
+	in := false // the current mapping overlaps [lo, hi)
+	for _, line := range strings.Split(string(b), "\n") {
 		fields := strings.Fields(line)
-		if len(fields) == 0 {
+		if len(fields) < 2 {
 			continue
 		}
-		if lo, hi, ok := strings.Cut(fields[0], "-"); ok && !strings.HasSuffix(fields[0], ":") {
-			start, err1 := strconv.ParseUint(lo, 16, 64)
-			end, err2 := strconv.ParseUint(hi, 16, 64)
-			if err1 == nil && err2 == nil {
-				overlap = uintptr(start) < addr+size && addr < uintptr(end)
-				continue
+		if a, z, ok := strings.Cut(fields[0], "-"); ok && !strings.HasSuffix(fields[0], ":") {
+			start, err1 := strconv.ParseUint(a, 16, 64)
+			end, err2 := strconv.ParseUint(z, 16, 64)
+			if in = err1 == nil && err2 == nil && uintptr(start) < hi && lo < uintptr(end); in {
+				out = append(out, mapping{start: uintptr(start), end: uintptr(end)})
 			}
+			continue
 		}
-		if overlap && fields[0] == "AnonHugePages:" {
-			kb, err := strconv.Atoi(fields[1])
-			if err != nil {
+		if !in {
+			continue
+		}
+		switch m := &out[len(out)-1]; fields[0] {
+		case "AnonHugePages:":
+			if m.hugeKB, err = strconv.Atoi(fields[1]); err != nil {
 				t.Fatalf("smaps line %q: %v", line, err)
 			}
-			total += kb
+		case "VmFlags:":
+			m.advised = slices.Contains(fields[1:], "hg")
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return total
+	return out
 }
 
-// A touched allocation covering whole huge pages is backed by them, for
-// real storage and for the misaligned benchmark control arm alike.
+// allocators are the storage constructors that advise huge pages: real
+// storage and the misaligned benchmark control arm alike.
+var allocators = map[string]func(int) []uint64{
+	"Aligned":    Aligned[uint64],
+	"Misaligned": Misaligned[uint64],
+}
+
+// What the code controls, asserted exactly whatever the host grants:
+// mappings carrying the huge-page advice cover the allocation's 2 MiB
+// interior.
+func TestLargeAllocationAdvisesHugePages(t *testing.T) {
+	skipWithoutTHP(t)
+	const bytes = 8 << 20
+	for name, alloc := range allocators {
+		s := alloc(bytes / 8)
+		lo, hi := hugeInterior(addrOf(s), bytes)
+		next := lo // the first interior address not yet seen advised
+		for _, m := range smaps(t, lo, hi) {
+			if m.start <= next && m.advised {
+				next = m.end
+			}
+		}
+		if hi-lo < hugePage || next < hi {
+			t.Errorf("%s(%d MiB): interior [%#x, %#x) advised only up to %#x", name, bytes>>20, lo, hi, next)
+		}
+		runtime.KeepAlive(s)
+	}
+}
+
+// What the host grants: advised memory is backed by huge pages when it is
+// first faulted in. Heap memory reused while still resident as small
+// pages keeps them until khugepaged collapses it, on its own schedule, so
+// the heap first returns its free memory to the kernel and the
+// allocation's pages are faulted in under the advice.
 func TestLargeAllocationGetsHugePages(t *testing.T) {
 	skipWithoutTHP(t)
 	const bytes = 8 << 20
-	for name, alloc := range map[string]func(int) []uint64{
-		"Aligned":    Aligned[uint64],
-		"Misaligned": Misaligned[uint64],
-	} {
+	for name, alloc := range allocators {
+		debug.FreeOSMemory()
 		s := alloc(bytes / 8)
 		for i := range s {
 			s[i] = uint64(i)
 		}
-		if kb := anonHugeKB(t, addrOf(s), bytes); kb == 0 {
+		lo, hi := hugeInterior(addrOf(s), bytes)
+		kb := 0
+		for _, m := range smaps(t, lo, hi) {
+			kb += m.hugeKB
+		}
+		if kb == 0 {
 			t.Errorf("%s(%d MiB): AnonHugePages 0 kB over its range", name, bytes>>20)
 		}
 		runtime.KeepAlive(s)

@@ -31,15 +31,13 @@
 //	                                 persist the filter to the data dir
 //	GET    /v1/filters/{name}/trace  the filter's recent control-loop
 //	                                 decisions (a fixed-size ring): every
-//	                                 explicit migration (the migrate
-//	                                 endpoint and autotune migrations),
-//	                                 emergency grow and Reoptimize pass,
-//	                                 with the tracked window, ρ_cur vs
-//	                                 ρ_new, the hysteresis margin and the
-//	                                 chosen configuration; the autotune
-//	                                 sweep's declined verdicts appear as
-//	                                 server.autotune spans in
-//	                                 /v1/debug/traces instead
+//	                                 re-optimization pass (each autotune
+//	                                 sweep and empty-body migrate, declines
+//	                                 and budget refusals included) and
+//	                                 explicit-target migration, with the
+//	                                 tracked window, ρ_cur vs ρ_new, the
+//	                                 hysteresis margin, the chosen
+//	                                 configuration and the reason
 //	GET    /healthz                  liveness: uptime, Go version, VCS
 //	                                 revision (always 200 while the
 //	                                 process serves)
@@ -63,7 +61,8 @@
 // migrations lossless. StartAutotune (filter-server -autotune) turns the
 // advice endpoint's answer into action on a period: each filter whose
 // re-advised configuration beats the deployed one by the hysteresis
-// margin is migrated automatically, with the memory budget re-accounted.
+// margin is migrated automatically. The sweep and the empty-body migrate
+// both run Adaptive.Reoptimize, reserving the budget before the rebuild.
 // The key log costs 32 bits per logged insert, on top of the filter
 // itself and outside the budget.
 //
@@ -858,53 +857,56 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var cfg perfilter.Config
-	var mBits uint64
+	// Always traced; the layers below nest their spans under this one.
+	ctx, sp := s.tracer.StartRootForced(r.Context(), "server.migrate")
+	sp.SetAttr("filter", name)
+	defer sp.End()
 	if req.Kind == "" && req.MBits == 0 {
-		// Recommendation mode: act on the advisor's answer.
-		adv, err := e.f.Advice()
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		act := adv.WouldMigrate || req.Force
-		if act && adv.Best.Config == adv.Current.Config && adv.Best.MBits == adv.Current.MBits {
-			act = false
-			adv.Reason = "already at the recommended configuration"
-		}
-		if !act {
+		// Recommendation mode: one control-loop pass, forced on request.
+		d, adv, status, err := s.reoptimize(ctx, name, e, req.Force)
+		switch {
+		case err != nil:
+			writeErr(w, status, err)
+		case !d.Migrated:
 			writeJSON(w, http.StatusOK, map[string]any{
-				"migrated": false, "reason": adv.Reason,
+				"migrated": false, "reason": d.Reason,
 				"current": adviceSide(adv.Current), "best": adviceSide(adv.Best),
 			})
-			return
+		default:
+			writeJSON(w, http.StatusOK, migratedBody(name, e, d.Best, d.BestMBits))
 		}
-		cfg, mBits = adv.Best.Config, adv.Best.MBits
-	} else {
-		// Explicit mode: a create-style target; empty kind keeps the
-		// current family (with the kind's headline geometry defaults),
-		// zero mbits keeps the current size.
-		cr := CreateRequest{
-			Kind: req.Kind, MBits: req.MBits, K: req.K,
-			BlockBits: req.BlockBits, SectorBits: req.SectorBits,
-			Groups: req.Groups, TagBits: req.TagBits, BucketSize: req.BucketSize,
-			FingerprintBits: req.FingerprintBits, Fuse: req.Fuse,
-		}
-		if cr.Kind == "" {
-			cr.Kind = e.f.Config().Kind.String()
-		}
-		if cr.MBits == 0 {
-			cr.MBits = e.f.SizeBits()
-		}
-		var err error
-		cfg, mBits, _, err = buildConfig(&cr)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
+		return
 	}
-	status, body := s.migrateEntry(r.Context(), name, e, cfg, mBits)
-	writeJSON(w, status, body)
+	// Explicit mode: a create-style target; empty kind keeps the current
+	// family (with the kind's headline geometry defaults), zero mbits
+	// keeps the current size.
+	cr := CreateRequest{
+		Kind: req.Kind, MBits: req.MBits, K: req.K,
+		BlockBits: req.BlockBits, SectorBits: req.SectorBits,
+		Groups: req.Groups, TagBits: req.TagBits, BucketSize: req.BucketSize,
+		FingerprintBits: req.FingerprintBits, Fuse: req.Fuse,
+	}
+	if cr.Kind == "" {
+		cr.Kind = e.f.Config().Kind.String()
+	}
+	if cr.MBits == 0 {
+		cr.MBits = e.f.SizeBits()
+	}
+	cfg, mBits, _, err := buildConfig(&cr)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	sp.SetAttr("from", e.f.Config().Kind.String())
+	sp.SetAttr("to", cfg.Kind.String())
+	sp.SetAttr("mbits", mBits)
+	status, err := s.migrate(name, e, mBits, func() error { return e.f.Migrate(ctx, cfg, mBits) })
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		writeErr(w, status, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, migratedBody(name, e, cfg.String(), mBits))
 }
 
 // resize runs op, a rotation or migration of e to mBits total bits (0
@@ -963,49 +965,51 @@ func (s *Server) resize(name string, e *entry, mBits uint64, verb string, op fun
 	return http.StatusOK, nil
 }
 
-// migrateEntry performs one accounted live migration (see resize). The
-// migration is always traced (a forced "server.migrate" root unless ctx
-// already carries a span) and counted in s.migrating while the rebuild
-// runs, flipping /readyz to 503.
-func (s *Server) migrateEntry(ctx context.Context, name string, e *entry, cfg perfilter.Config, mBits uint64) (int, map[string]any) {
-	var fromKind string
-	status, err := s.resize(name, e, mBits, "migrating", func() error {
-		fromKind = e.f.Config().Kind.String()
-		var sp *obs.Span
-		if obs.SpanFromContext(ctx) != nil {
-			ctx, sp = obs.StartSpan(ctx, "server.migrate")
-		} else {
-			ctx, sp = s.tracer.StartRootForced(ctx, "server.migrate")
-		}
-		sp.SetAttr("filter", name)
-		sp.SetAttr("from", fromKind)
-		sp.SetAttr("to", cfg.Kind.String())
-		sp.SetAttr("mbits", mBits)
+// migrate runs build, one live migration of e to mBits total bits, as an
+// accounted resize counted in s.migrating, which flips /readyz to 503
+// while the rebuild runs.
+func (s *Server) migrate(name string, e *entry, mBits uint64, build func() error) (int, error) {
+	return s.resize(name, e, mBits, "migrating", func() error {
+		from := e.f.Config().Kind.String()
 		s.migrating.Add(1)
-		err := e.f.Migrate(ctx, cfg, mBits)
+		err := build()
 		s.migrating.Add(-1)
 		if err != nil {
-			sp.SetAttr("error", err.Error())
-			s.log.Warn("filter migration failed",
-				"filter", name, "kind", fromKind, "target", cfg.String(), "err", err)
+			s.log.Warn("filter migration failed", "filter", name, "kind", from, "err", err)
+			return err
 		}
-		sp.End()
-		return err
+		s.log.Info("filter migrated",
+			"filter", name, "from", from, "to", e.f.Config().Kind.String(), "config", e.f.Config().String(),
+			"bits", e.f.SizeBits(), "generation", e.f.Generation())
+		return nil
 	})
-	if err != nil {
-		return status, errBody(err)
-	}
-	s.log.Info("filter migrated",
-		"filter", name, "from", fromKind, "to", cfg.Kind.String(),
-		"config", cfg.String(), "bits", e.f.SizeBits(), "generation", e.f.Generation())
-	return http.StatusOK, map[string]any{
-		"migrated": true, "config": cfg.String(), "mbits": mBits,
-		"filter": e.info(name),
-	}
 }
 
-func errBody(err error) map[string]any {
-	return map[string]any{"error": err.Error()}
+// reoptimize runs one Adaptive.Reoptimize pass over e with migrate as its
+// admit hook, so the rebuild first reserves its size against the budget.
+// It also returns the HTTP status of the pass's error.
+func (s *Server) reoptimize(ctx context.Context, name string, e *entry, force bool) (adaptive.Decision, perfilter.AdaptiveAdvice, int, error) {
+	status := http.StatusInternalServerError // an advice failure: no rebuild was tried
+	// Lock order a.mu → s.mu: Reoptimize runs the hook under the filter's
+	// lock, and resize takes s.mu. Never the reverse: under s.mu the server
+	// calls only e.f methods that take no adaptive lock (SizeBits, and
+	// handleList's e.info reads).
+	d, adv, err := e.f.Reoptimize(ctx, force, func(mBits uint64, build func() error) (err error) {
+		status, err = s.migrate(name, e, mBits, build)
+		return err
+	})
+	if err == nil {
+		status = http.StatusOK
+	}
+	return d, adv, status, err
+}
+
+// migratedBody is the migrate endpoint's answer for a completed migration.
+func migratedBody(name string, e *entry, config string, mBits uint64) map[string]any {
+	return map[string]any{
+		"migrated": true, "config": config, "mbits": mBits,
+		"filter": e.info(name),
+	}
 }
 
 // AutotuneResult records one autotune pass's verdict for one filter.
@@ -1018,10 +1022,10 @@ type AutotuneResult struct {
 }
 
 // AutotuneOnce runs one re-optimization sweep over every registered
-// filter: re-advise against each filter's tracked workload and migrate
-// the ones whose modeled win clears the hysteresis margin, within the
-// memory budget. It is the body of the -autotune loop and is exported so
-// operators (and tests) can drive a sweep on demand.
+// filter: one Adaptive.Reoptimize pass each, migrating the ones whose
+// modeled win clears the hysteresis margin, within the memory budget. It
+// is the body of the -autotune loop and is exported so operators (and
+// tests) can drive a sweep on demand.
 func (s *Server) AutotuneOnce() []AutotuneResult {
 	s.mu.RLock()
 	names := make([]string, 0, len(s.filters))
@@ -1034,41 +1038,21 @@ func (s *Server) AutotuneOnce() []AutotuneResult {
 		entries = append(entries, e)
 	}
 	s.mu.RUnlock()
-	// One forced root span per sweep: each filter's evaluation is a
-	// child carrying the modeled overheads (rho_cur vs rho_new) so an
-	// operator can read *why* the loop did or did not act.
+	// One forced root span per sweep; each filter's pass is an
+	// "adaptive.evaluate" child carrying the modeled overheads (rho_cur vs
+	// rho_new), so an operator can read *why* the loop did or did not act.
 	ctx, sweep := s.tracer.StartRootForced(context.Background(), "server.autotune")
 	sweep.SetAttr("filters", len(names))
 	defer sweep.End()
 	results := make([]AutotuneResult, 0, len(names))
 	for i, name := range names {
-		e := entries[i]
-		ev := sweep.StartChild("autotune.filter")
-		ev.SetAttr("filter", name)
-		adv, err := e.f.Advice()
+		d, _, _, err := s.reoptimize(ctx, name, entries[i], false)
+		res := AutotuneResult{Name: name, Migrated: d.Migrated, Reason: d.Reason}
+		if d.Migrated {
+			res.Config = d.Best
+		}
 		if err != nil {
-			ev.SetAttr("error", err.Error())
-			ev.End()
-			results = append(results, AutotuneResult{Name: name, Err: err.Error()})
-			continue
-		}
-		ev.SetAttr("rho_cur", adv.Current.Overhead)
-		ev.SetAttr("rho_new", adv.Best.Overhead)
-		ev.SetAttr("would_migrate", adv.WouldMigrate)
-		ev.SetAttr("reason", adv.Reason)
-		if !adv.WouldMigrate {
-			ev.End()
-			results = append(results, AutotuneResult{Name: name, Reason: adv.Reason})
-			continue
-		}
-		status, body := s.migrateEntry(obs.ContextWithSpan(ctx, ev), name, e, adv.Best.Config, adv.Best.MBits)
-		ev.End()
-		res := AutotuneResult{Name: name, Reason: adv.Reason}
-		if status == http.StatusOK {
-			res.Migrated = true
-			res.Config = adv.Best.Config.String()
-		} else if msg, ok := body["error"].(string); ok {
-			res.Err = msg
+			res.Err = err.Error()
 		}
 		results = append(results, res)
 	}

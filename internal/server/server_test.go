@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -634,6 +636,115 @@ func TestAutotuneOnce(t *testing.T) {
 	// would collide with the grown usage is still budget-checked (smoke:
 	// usedBits is consistent enough to not underflow on delete).
 	doJSON(t, "DELETE", ts.URL+"/v1/filters/grower", nil, http.StatusOK)
+}
+
+// counter reads one unlabeled counter from a /metrics scrape.
+func counter(t *testing.T, ts *httptest.Server, name string) (n uint64) {
+	t.Helper()
+	for _, line := range strings.Split(scrape(t, ts), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, _ = strconv.ParseUint(v, 10, 64)
+		}
+	}
+	return n
+}
+
+// TestAutotuneRecordsEveryPass pins that the server's control loop is
+// the adaptive one: every autotune pass and empty-body migrate is one
+// Reoptimize pass, so each lands in the decision trace with its modeled
+// overheads and the policy's reason, and moves the evaluation and
+// rejection counters, declines included. A pass whose target does not
+// fit the memory budget is refused, recorded, and changes no accounting.
+func TestAutotuneRecordsEveryPass(t *testing.T) {
+	const evals, rejects = "perfilter_adaptive_evaluations_total", "perfilter_adaptive_rejections_total"
+	reg := newQuiet(Options{})
+	ts := httptest.NewServer(reg.Handler())
+	defer ts.Close()
+	doJSON(t, "POST", ts.URL+"/v1/filters", CreateRequest{
+		Name: "grower", Advise: &AdviseRequest{N: 4096, Tw: 100, BitsPerKey: 16},
+	}, http.StatusCreated)
+	evals0, rejects0 := counter(t, ts, evals), counter(t, ts, rejects)
+	var reasons []string // the policy's reason, one per pass
+	declines := 0
+	sweep := func() bool {
+		res := reg.AutotuneOnce()
+		if len(res) != 1 || res[0].Err != "" {
+			t.Fatalf("autotune results: %+v", res)
+		}
+		reasons = append(reasons, res[0].Reason)
+		if !res[0].Migrated {
+			declines++
+		}
+		return res[0].Migrated
+	}
+	// The TestAutotuneOnce scenario: outgrow the filter, then sweep until
+	// it migrates, then once more (a decline), then migrate over HTTP.
+	r := rng.NewMT19937(99)
+	keys := make([]uint32, 200_000)
+	for i := range keys {
+		keys[i] = r.Uint32()
+	}
+	for lo := 0; lo < len(keys); lo += 20_000 {
+		resp := postBinary(t, ts.URL+"/v1/filters/grower/insert", keys[lo:lo+20_000])
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusInsufficientStorage {
+			sweep()
+			resp = postBinary(t, ts.URL+"/v1/filters/grower/insert", keys[lo:lo+20_000])
+			resp.Body.Close()
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert at %d: status %d", lo, resp.StatusCode)
+		}
+	}
+	migrated := false
+	for i := 0; i < 3 && !migrated; i++ {
+		migrated = sweep()
+	}
+	if !migrated || sweep() {
+		t.Fatalf("want one migration, then a decline: %q", reasons)
+	}
+	out := doJSON(t, "POST", ts.URL+"/v1/filters/grower/migrate", nil, http.StatusOK)
+	if reasons = append(reasons, out["reason"].(string)); out["migrated"] != true {
+		declines++
+	}
+
+	tr := doJSON(t, "GET", ts.URL+"/v1/filters/grower/trace", nil, http.StatusOK)
+	decisions := tr["decisions"].([]any)
+	if len(decisions) != len(reasons) {
+		t.Fatalf("trace holds %d decisions after %d passes: %v", len(decisions), len(reasons), decisions)
+	}
+	for i, raw := range decisions {
+		d := raw.(map[string]any)
+		if d["current_rho"].(float64) <= 0 || d["best_rho"].(float64) <= 0 || d["reason"] != reasons[i] {
+			t.Errorf("decision %d = %v, want modeled overheads and the reason %q", i, d, reasons[i])
+		}
+	}
+	if got := counter(t, ts, evals) - evals0; got != uint64(len(reasons)) {
+		t.Errorf("%s rose by %d over %d passes", evals, got, len(reasons))
+	}
+	if got := counter(t, ts, rejects) - rejects0; got != uint64(declines) {
+		t.Errorf("%s rose by %d over %d declines", rejects, got, declines)
+	}
+
+	// A budget too small for the recommended growth.
+	tight := newQuiet(Options{MaxTotalBits: 1 << 17})
+	tts := httptest.NewServer(tight.Handler())
+	defer tts.Close()
+	doJSON(t, "POST", tts.URL+"/v1/filters", CreateRequest{Name: "capped", Kind: "bloom", MBits: 1 << 16}, http.StatusCreated)
+	resp := postBinary(t, tts.URL+"/v1/filters/capped/insert", keys[:50_000])
+	resp.Body.Close()
+	used := tight.usedBits
+	res := tight.AutotuneOnce()
+	if len(res) != 1 || res[0].Migrated || !strings.Contains(res[0].Err, "remaining budget") {
+		t.Fatalf("over-budget autotune pass: %+v", res)
+	}
+	if tight.usedBits != used {
+		t.Errorf("used bits %d -> %d across a refused migration", used, tight.usedBits)
+	}
+	tr = doJSON(t, "GET", tts.URL+"/v1/filters/capped/trace", nil, http.StatusOK)
+	if d := tr["decisions"].([]any); len(d) != 1 || !strings.Contains(d[0].(map[string]any)["reason"].(string), "remaining budget") {
+		t.Fatalf("refused pass not recorded: %v", tr)
+	}
 }
 
 // BenchmarkProbeHandlerAllocs measures allocations on the binary probe
