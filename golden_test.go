@@ -119,24 +119,6 @@ func goldenFilters(t *testing.T) []struct {
 	}
 	add("xor8-unsealed", uf)
 
-	cb, err := NewCountingBloom(4, 1<<12)
-	if err != nil {
-		t.Fatalf("NewCountingBloom: %v", err)
-	}
-	for _, k := range keys {
-		_ = cb.Insert(k)
-	}
-	add("counting", cb)
-
-	sb, err := NewScalableBloom(256, 0.01)
-	if err != nil {
-		t.Fatalf("NewScalableBloom: %v", err)
-	}
-	for _, k := range keys {
-		_ = sb.Insert(k)
-	}
-	add("scalable", sb)
-
 	// Sharded envelopes: one per kind, fixed 4 shards.
 	shardCfgs := []struct {
 		name string
@@ -187,8 +169,6 @@ var goldenEnvelopes = map[string]string{
 	"xor8":             "1319:a90ec6c06c148d49",
 	"fuse16":           "2872:69d17c67a77bf8ea",
 	"xor8-unsealed":    "456:323b75edbb0c7576",
-	"counting":         "2078:c828cc5a5d046016",
-	"scalable":         "3802:4421f6d8dbc8c432",
 	"sharded-blocked":  "32992:57f89df1a7f171e8",
 	"sharded-classic":  "32928:f932839a46a49d32",
 	"sharded-cuckoo":   "33044:4ece7649219d1391",

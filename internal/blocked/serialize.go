@@ -8,10 +8,9 @@ import (
 	"perfilter/internal/magic"
 )
 
-// Serialization lets filters travel: the distributed semi-join use case
-// (§1, [21]) broadcasts the build side's filter to every probe node. The
-// format is a fixed little-endian header (magic, version, parameters,
-// block count) followed by the raw word array. Filters deserialize on any
+// Serialization lets filters travel and persist (the filter server's
+// snapshots). The format is a fixed little-endian header (magic, version,
+// parameters, block count) followed by the raw word array. Filters deserialize on any
 // architecture; word order is canonicalized to little-endian.
 
 // WireMagic is the first little-endian uint32 of every serialized blocked

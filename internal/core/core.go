@@ -1,5 +1,6 @@
 // Package core holds the small set of types shared by every filter kernel:
-// the key type, selection vectors, and the batched-lookup contract.
+// the key type, selection vectors, the batched-lookup contract and the
+// filter contract.
 //
 // The paper's unified filter interface takes an entire list of keys at once
 // and produces a position list ("selection vector") of 32-bit integers
@@ -26,6 +27,27 @@ type SelVec = []uint32
 // enforce this equivalence for every kernel.
 type BatchProber interface {
 	ContainsBatch(keys []Key, sel SelVec) SelVec
+}
+
+// Filter is the unified filter contract every kind implements, declared
+// once here so the root package, the kind registry and the sharded
+// wrapper share it without importing each other.
+type Filter interface {
+	// Insert adds a key. Only cuckoo filters can fail.
+	Insert(key Key) error
+	// Contains reports whether key may be in the set. Inserted keys are
+	// always reported (no false negatives).
+	Contains(key Key) bool
+	// ContainsBatch is the BatchProber contract.
+	ContainsBatch(keys []Key, sel SelVec) SelVec
+	// SizeBits is the actual size in bits after rounding.
+	SizeBits() uint64
+	// FPR is the analytic expected false-positive rate with n keys stored.
+	FPR(n uint64) float64
+	// Reset clears the filter for reuse.
+	Reset()
+	// String describes the configuration.
+	String() string
 }
 
 // DefaultBatch is the batch size used by the vectorized pipelines. 1024 keys

@@ -20,9 +20,10 @@ const (
 	WireExact = 0x70664C45 // "pfLE"
 	// WireXor tags xor/fuse filters (internal/xor).
 	WireXor = 0x70664C58 // "pfLX"
-	// WireCounting tags counting Bloom filters (internal/counting).
+	// WireCounting and WireScalable are retired (counting and scalable
+	// Bloom filters): snapshots from earlier builds carry them, so they
+	// must never be reassigned.
 	WireCounting = 0x70664C4E // "pfLN"
-	// WireScalable tags scalable Bloom filters (internal/scalable).
 	WireScalable = 0x70664C47 // "pfLG"
 	// WireSharded tags the sharded concurrent wrapper's envelope of
 	// per-shard payloads (root package).
@@ -32,8 +33,8 @@ const (
 	WireAdaptive = 0x70664C41 // "pfLA"
 )
 
-// WireMagics lists every assigned wire magic; new formats must append
-// here so the uniqueness test covers them.
+// WireMagics lists every assigned wire magic, retired ones included; new
+// formats must append here so the uniqueness test covers them.
 func WireMagics() []uint32 {
 	return []uint32{
 		WireBlocked, WireClassic, WireCuckoo, WireExact, WireXor,

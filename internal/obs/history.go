@@ -11,7 +11,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -167,26 +166,6 @@ func (h *History) Scrape() {
 	h.prevAt = now
 	h.prevCounters = counters
 	h.prevHists = hists
-}
-
-// Run scrapes every interval until ctx is cancelled — the server's
-// background self-scraper. It primes immediately so the first retained
-// entry lands one interval in.
-func (h *History) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	h.Scrape()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			h.Scrape()
-		}
-	}
 }
 
 // Entries returns the retained intervals that ended within window of the

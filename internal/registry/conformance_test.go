@@ -234,7 +234,7 @@ func TestPublicKindAPI(t *testing.T) {
 		t.Error(`KindByName("quotient") resolved`)
 	}
 	// Wire-only formats are not constructible kinds.
-	for _, name := range []string{"counting", "scalable", "sharded", "adaptive"} {
+	for _, name := range []string{"sharded", "adaptive"} {
 		if _, ok := perfilter.KindByName(name); ok {
 			t.Errorf("wire-only format %q resolved to a constructible kind", name)
 		}

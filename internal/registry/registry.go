@@ -11,11 +11,9 @@
 // its EnumHints gate, keyed by the same model.Kind — the registry
 // conformance suite asserts the two tables agree).
 //
-// The package defines its own Filter interface with exactly the root
-// package's method set (Key and SelVec are aliases of the same core
-// types), so descriptors constructed in the root package convert
-// implicitly in both directions and no import cycle arises: registry
-// imports only core and model; the root package imports registry.
+// Filter is core.Filter, the same contract the root package and the
+// sharded wrapper use; registry imports only core and model, and the root
+// package imports registry.
 package registry
 
 import (
@@ -29,22 +27,13 @@ import (
 // Key is the key type, an alias of the root package's.
 type Key = core.Key
 
-// Filter restates the root package's Filter interface method-for-method;
-// any perfilter.Filter satisfies it and vice versa.
-type Filter interface {
-	Insert(key Key) error
-	Contains(key Key) bool
-	ContainsBatch(keys []Key, sel core.SelVec) core.SelVec
-	SizeBits() uint64
-	FPR(n uint64) float64
-	Reset()
-	String() string
-}
+// Filter is the filter contract shared with the root package.
+type Filter = core.Filter
 
-// NoKind marks a wire-only descriptor: a serialization format (counting,
-// scalable, the sharded and adaptive envelopes) that decodes through the
-// registry but is not part of the model's Kind space and cannot be built
-// through New(Config, mBits).
+// NoKind marks a wire-only descriptor: a serialization format (the
+// sharded and adaptive envelopes) that decodes through the registry but is
+// not part of the model's Kind space and cannot be built through
+// New(Config, mBits).
 const NoKind = model.Kind(0xFF)
 
 // Descriptor is one family's registration. All fields are set once at

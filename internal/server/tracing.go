@@ -171,11 +171,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // StartHistory launches the background metrics self-scraper: one
-// registry snapshot every interval into the fixed ring behind
-// GET /metrics/history. When the server was built with TraceAutoSlow,
-// each scrape also re-derives the tracer's slow-capture threshold as
-// 2x the probe plane's live p99 — the "latency > p99x2" rule from the
-// tracing design, tracking the workload instead of a hand-set constant.
+// historyTick every interval until ctx is cancelled.
 func (s *Server) StartHistory(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		return
@@ -189,13 +185,22 @@ func (s *Server) StartHistory(ctx context.Context, interval time.Duration) {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				s.history.Scrape()
-				if s.traceAutoSlow {
-					if p99 := s.metrics.probeDur.Quantile(0.99); p99 > 0 {
-						s.tracer.SetSlowNs(int64(2 * p99))
-					}
-				}
+				s.historyTick()
 			}
 		}
 	}()
+}
+
+// historyTick is one self-scrape: a registry snapshot into the fixed ring
+// behind GET /metrics/history. When the server was built with
+// TraceAutoSlow, it also re-derives the tracer's slow-capture threshold
+// as 2x the probe plane's live p99 — the "latency > p99x2" rule from the
+// tracing design, tracking the workload instead of a hand-set constant.
+func (s *Server) historyTick() {
+	s.history.Scrape()
+	if s.traceAutoSlow {
+		if p99 := s.metrics.probeDur.Quantile(0.99); p99 > 0 {
+			s.tracer.SetSlowNs(int64(2 * p99))
+		}
+	}
 }

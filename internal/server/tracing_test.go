@@ -335,3 +335,40 @@ func TestProbeUnsampledAllocParity(t *testing.T) {
 			unsampled, disabled)
 	}
 }
+
+// TestHistoryTickAutoSlow pins the TraceAutoSlow rule: after probe
+// traffic, one history tick sets the tracer's slow-capture threshold to
+// 2x the probe plane's live p99; with the rule off the threshold is left
+// alone.
+func TestHistoryTickAutoSlow(t *testing.T) {
+	const initialSlowNs = 123456789
+	for _, auto := range []bool{true, false} {
+		tracer := obs.NewTracer(obs.TracerOptions{RingSize: 8, SlowNs: initialSlowNs})
+		s := newQuiet(Options{Tracer: tracer, TraceAutoSlow: auto})
+		ts := httptest.NewServer(s.Handler())
+		doJSON(t, "POST", ts.URL+"/v1/filters", CreateRequest{
+			Name: "slow", Kind: "bloom", MBits: 1 << 20, Shards: 2,
+		}, http.StatusCreated)
+		keys := make([]uint32, 1024)
+		for i := range keys {
+			keys[i] = uint32(i) * 2654435761
+		}
+		for i := 0; i < 8; i++ {
+			postBinary(t, ts.URL+"/v1/filters/slow/probe", keys).Body.Close()
+		}
+		ts.Close()
+
+		s.historyTick()
+		p99 := s.metrics.probeDur.Quantile(0.99)
+		if p99 <= 0 {
+			t.Fatalf("auto=%v: probe p99 %g after probe traffic", auto, p99)
+		}
+		want := int64(initialSlowNs)
+		if auto {
+			want = int64(2 * p99)
+		}
+		if got := tracer.SlowNs(); got != want {
+			t.Errorf("auto=%v: SlowNs = %d after one tick, want %d (probe p99 %g)", auto, got, want, p99)
+		}
+	}
+}

@@ -50,8 +50,8 @@
 //     take the shard's overflow path, so the no-false-negative contract
 //     survives the window.
 //
-// The package is deliberately generic over an Inner interface rather than
-// depending on the root perfilter package (which would be an import
-// cycle); perfilter.NewSharded wires the two together, and internal/bench
-// reuses the same wrapper for the parallel-throughput experiments.
+// The package is generic over Inner (core.Filter) rather than depending on
+// the root perfilter package (which would be an import cycle);
+// perfilter.NewSharded wires the two together, and internal/bench reuses
+// the same wrapper for the parallel-throughput experiments.
 package sharded

@@ -43,18 +43,9 @@ const MaxShards = 1024
 // small batches (the vectorized pipelines' default batch is 1024 keys).
 const parallelBatchMin = 4 * core.DefaultBatch
 
-// Inner is the per-shard filter contract: the root package's Filter
-// method set, restated locally so this package does not import perfilter
-// (which imports this package). Any perfilter.Filter satisfies it.
-type Inner interface {
-	Insert(key Key) error
-	Contains(key Key) bool
-	ContainsBatch(keys []Key, sel core.SelVec) core.SelVec
-	SizeBits() uint64
-	FPR(n uint64) float64
-	Reset()
-	String() string
-}
+// Inner is the per-shard filter contract, the same core.Filter the root
+// package exposes as perfilter.Filter.
+type Inner = core.Filter
 
 // Factory builds one shard's filter. It is called P times per generation;
 // each call must return a fresh, empty filter.

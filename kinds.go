@@ -12,8 +12,8 @@ import (
 
 // KindByName resolves a registered family name or alias to its Kind. The
 // empty string is an alias for the blocked-Bloom default. Wire-only
-// formats (counting, scalable, the sharded and adaptive envelopes) do not
-// resolve: they are not constructible through New.
+// formats (the sharded and adaptive envelopes) do not resolve: they are
+// not constructible through New.
 func KindByName(name string) (Kind, bool) {
 	d := registry.ByName(name)
 	if !d.Constructible() {

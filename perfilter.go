@@ -45,14 +45,37 @@ import (
 	"perfilter/internal/core"
 	"perfilter/internal/cuckoo"
 	"perfilter/internal/exact"
+	"perfilter/internal/hashing"
 	"perfilter/internal/model"
 	"perfilter/internal/registry"
 	"perfilter/internal/xor"
 )
 
 // Key is the key type: 32-bit integers, as in the paper's evaluation.
-// Hash wider keys down to 32 bits before insertion if needed.
+// Hash wider keys down to 32 bits before insertion (Hash64, HashString).
 type Key = uint32
+
+// Hash64 folds a 64-bit key into the 32-bit key space the filters operate
+// on, preserving entropy from both halves. Collisions at 32 bits are part
+// of the filter's false-positive budget.
+func Hash64(key uint64) Key {
+	return hashing.Fold64(key * hashing.Golden64)
+}
+
+// HashString hashes an arbitrary byte string into the 32-bit key space
+// (FNV-1a folded through the multiplicative finalizer).
+func HashString(s string) Key {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return Hash64(h)
+}
 
 // ErrFull is returned by Insert when a cuckoo filter cannot place a key.
 // Bloom filters never return it.
@@ -60,26 +83,9 @@ var ErrFull = cuckoo.ErrFull
 
 // Filter is the unified filter interface (§5 of the paper): scalar and
 // batched membership tests, with the batched form producing a selection
-// vector of matching positions.
-type Filter interface {
-	// Insert adds a key. Only cuckoo filters can fail (ErrFull).
-	Insert(key Key) error
-	// Contains reports whether key may be in the set. Inserted keys are
-	// always reported (no false negatives).
-	Contains(key Key) bool
-	// ContainsBatch appends to sel the positions i for which keys[i] may
-	// be contained and returns the extended slice. Identical results to
-	// calling Contains per key, but amortized per-key cost.
-	ContainsBatch(keys []Key, sel []uint32) []uint32
-	// SizeBits is the actual size in bits after rounding.
-	SizeBits() uint64
-	// FPR is the analytic expected false-positive rate with n keys stored.
-	FPR(n uint64) float64
-	// Reset clears the filter for reuse.
-	Reset()
-	// String describes the configuration.
-	String() string
-}
+// vector of matching positions. Insert fails only for cuckoo filters
+// (ErrFull).
+type Filter = core.Filter
 
 // Kind selects a filter family.
 type Kind uint8

@@ -289,3 +289,39 @@ func TestQuickPublicInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestHash64Distribution(t *testing.T) {
+	seen := map[uint32]bool{}
+	for i := uint64(0); i < 10000; i++ {
+		seen[Hash64(i)] = true
+	}
+	if len(seen) < 9990 {
+		t.Fatalf("Hash64 collides too much: %d distinct", len(seen))
+	}
+	f, _ := NewRegisterBlockedBloom(4, 1<<14)
+	for i := uint64(0); i < 1000; i++ {
+		f.Insert(Hash64(i << 32)) // keys differing only in high bits
+	}
+	for i := uint64(0); i < 1000; i++ {
+		if !f.Contains(Hash64(i << 32)) {
+			t.Fatal("wide-key workflow broken")
+		}
+	}
+}
+
+func TestHashString(t *testing.T) {
+	a, b := HashString("hello"), HashString("hellp")
+	if a == b {
+		t.Fatal("adjacent strings collide")
+	}
+	if HashString("hello") != a {
+		t.Fatal("not deterministic")
+	}
+	seen := map[uint32]bool{}
+	for i := 0; i < 5000; i++ {
+		seen[HashString(string(rune('a'+i%26))+string(rune('0'+i%10))+string(rune(i)))] = true
+	}
+	if len(seen) < 4000 {
+		t.Fatalf("HashString collides too much: %d distinct", len(seen))
+	}
+}

@@ -13,8 +13,7 @@ import (
 )
 
 // Serialization turns any filter this package builds into a portable byte
-// string and back — what a distributed semi-join broadcast ships to the
-// probe nodes, and what the filter server persists across restarts. Every
+// string and back — what the filter server persists across restarts. Every
 // format is little-endian and self-describing: the first four bytes are a
 // per-kind wire magic, so Unmarshal dispatches without external type
 // information, and a round-tripped filter answers ContainsBatch
@@ -56,11 +55,12 @@ type marshaler interface {
 }
 
 // Marshal serializes a filter built by this package for network transfer
-// or persistence (e.g. the semi-join broadcast, or the filter server's
-// snapshots). Every kind serializes: blocked/register-blocked/sectorized
-// Bloom (any blocked geometry), classic Bloom, counting Bloom, scalable
-// Bloom, cuckoo (victim slot included), the exact set, and the Sharded
-// concurrent wrapper (as an envelope of per-shard payloads). The encoder
+// or persistence (e.g. the filter server's snapshots). Every kind
+// serializes: blocked/register-blocked/sectorized/cache-sectorized Bloom
+// (any blocked geometry), classic Bloom, cuckoo (victim slot included),
+// xor/fuse (sealed or still buffering), the exact set, the Sharded
+// concurrent wrapper (as an envelope of per-shard payloads) and the
+// Adaptive wrapper (counters and key log around a sharded envelope). The encoder
 // is the registered descriptor owning the filter's concrete type (see
 // internal/registry and the register_<family>.go files).
 func Marshal(f Filter) ([]byte, error) {
@@ -102,13 +102,7 @@ func Unmarshal(data []byte) (Filter, error) {
 func (s *Sharded) marshalEnvelope() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, err := s.s.Snapshot(func(inner sharded.Inner) ([]byte, error) {
-		f, ok := inner.(Filter)
-		if !ok {
-			return nil, fmt.Errorf("perfilter: shard type %T does not serialize", inner)
-		}
-		return Marshal(f)
-	})
+	snap, err := s.s.Snapshot(Marshal)
 	if err != nil {
 		return nil, err
 	}

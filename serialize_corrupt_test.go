@@ -39,10 +39,6 @@ func corruptTestEncodings(t testing.TB) map[string][]byte {
 	add("classic", classicF, err)
 	cuckooF, err := NewCuckoo(16, 4, CuckooSizeForKeys(16, 4, n))
 	add("cuckoo", cuckooF, err)
-	countingF, err := NewCountingBloom(8, n*16)
-	add("counting", countingF, err)
-	scalableF, err := NewScalableBloom(n, 0.01)
-	add("scalable", scalableF, err)
 	xorF, err := New(Config{Kind: Xor, FingerprintBits: 8}, 0)
 	add("xor", xorF, err)
 	fuseF, err := New(Config{Kind: Xor, FingerprintBits: 16, Fuse: true}, 0)
@@ -109,7 +105,8 @@ func TestUnmarshalCorruptNamesMagic(t *testing.T) {
 
 // FuzzUnmarshal feeds arbitrary bytes to the decode dispatcher: it must
 // never panic, and every rejection must name the magic (or its absence).
-// The seed corpus covers every family's real wire image.
+// The seed corpus covers every family's real wire image and the retired
+// counting ("pfLN") and scalable ("pfLG") magics.
 func FuzzUnmarshal(f *testing.F) {
 	for _, data := range corruptTestEncodings(f) {
 		f.Add(data)
@@ -117,6 +114,8 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x42, 0x4C, 0x66, 0x70})
+	f.Add([]byte{0x4E, 0x4C, 0x66, 0x70})
+	f.Add([]byte{0x47, 0x4C, 0x66, 0x70})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		filt, err := Unmarshal(data)
 		if err == nil {

@@ -52,14 +52,6 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 		{"register-blocked", func() (Filter, error) { return NewRegisterBlockedBloom(2, un*16) }},
 		{"blocked-512", func() (Filter, error) { return NewBlockedBloom(8, un*16) }},
 		{"classic", func() (Filter, error) { return NewClassicBloom(7, un*16) }},
-		{"counting", func() (Filter, error) {
-			f, err := NewCountingBloom(8, un*16)
-			return f, err
-		}},
-		{"scalable", func() (Filter, error) {
-			f, err := NewScalableBloom(un/8, 0.01)
-			return f, err
-		}},
 		{"cuckoo", func() (Filter, error) {
 			f, err := NewCuckoo(16, 4, CuckooSizeForKeys(16, 4, un))
 			return f, err
@@ -285,5 +277,91 @@ func TestShardedEnvelopeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Unmarshal(append(bytes.Clone(data), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+func TestMarshalRoundTripBloom(t *testing.T) {
+	f, _ := NewCacheSectorizedBloom(8, 2, 1<<14)
+	r := rng.NewMT19937(3)
+	keys := make([]uint32, 300)
+	for i := range keys {
+		keys[i] = r.Uint32()
+		f.Insert(keys[i])
+	}
+	data, err := Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.String() != f.String() || back.SizeBits() != f.SizeBits() {
+		t.Fatalf("metadata changed: %s vs %s", back, f)
+	}
+	for _, k := range keys {
+		if !back.Contains(k) {
+			t.Fatal("false negative after round trip")
+		}
+	}
+}
+
+func TestMarshalRoundTripCuckoo(t *testing.T) {
+	f, err := NewCuckoo(16, 2, CuckooSizeForKeys(16, 2, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < 1000; i++ {
+		if err := f.Insert(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, ok := back.(*CuckooFilter)
+	if !ok {
+		t.Fatalf("deserialized to %T", back)
+	}
+	if cf.Count() != 1000 {
+		t.Fatalf("count %d after round trip", cf.Count())
+	}
+	for i := uint32(0); i < 1000; i++ {
+		if !cf.Contains(i) {
+			t.Fatal("false negative after round trip")
+		}
+	}
+	if !cf.Delete(5) {
+		t.Fatal("delete after round trip failed")
+	}
+}
+
+// stubFilter is a Filter from outside the package's families: Marshal
+// must reject it rather than guess an encoding.
+type stubFilter struct{ Filter }
+
+func TestMarshalUnsupported(t *testing.T) {
+	if _, err := Marshal(stubFilter{}); err == nil {
+		t.Fatal("foreign filter type should not claim to serialize")
+	}
+	if _, err := Unmarshal([]byte{1, 2, 3}); err == nil {
+		t.Fatal("garbage accepted")
+	}
+	if _, err := Unmarshal(nil); err == nil {
+		t.Fatal("nil accepted")
+	}
+	// The retired counting ("pfLN") and scalable ("pfLG") magics no longer
+	// have a decoder: snapshots carrying them are refused as unrecognized,
+	// never handed to a decoder.
+	for _, m := range []string{"pfLN", "pfLG"} {
+		_, err := Unmarshal([]byte{m[3], m[2], m[1], m[0]})
+		if err == nil || !strings.Contains(err.Error(), "unrecognized filter encoding") {
+			t.Fatalf("retired magic %s: err = %v, want unrecognized filter encoding", m, err)
+		}
 	}
 }
