@@ -422,10 +422,12 @@ func TestInsertBatchErrFullRecovery(t *testing.T) {
 	}
 }
 
-// TestScalarInsertAllocs is the scalar write path's allocation gate: the
+// TestScalarInsertAllocs is the write path's allocation gate: the
 // lossless write protocol runs Sharded.Insert through a closure that must
 // stay on the stack, so the insert makes no allocation; Adaptive.Insert
-// adds only the key log's amortized slice growth.
+// adds only the key log's amortized slice growth. Sharded.InsertBatch
+// reuses pooled scatter scratch and each shard's run is one InsertBatch
+// call into the blocked kernel, so a batch makes no allocation either.
 func TestScalarInsertAllocs(t *testing.T) {
 	cfg := DefaultConfig(BlockedBloom)
 	sh, err := NewSharded(cfg, 1<<20, 4)
@@ -452,6 +454,21 @@ func TestScalarInsertAllocs(t *testing.T) {
 		}
 	}); avg >= 1 {
 		t.Errorf("Adaptive.Insert allocates %.2f/op, want < 1 (key log growth only)", avg)
+	}
+	if raceEnabled {
+		return // the batch path's scatter scratch is pooled
+	}
+	batch := make([]Key, 1024)
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := range batch {
+			k++
+			batch[i] = k
+		}
+		if _, err := sh.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Sharded.InsertBatch(%d keys) allocates %.2f/op, want 0", len(batch), avg)
 	}
 }
 

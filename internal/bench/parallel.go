@@ -24,6 +24,10 @@ import (
 type probeInner struct{ f blocked.Probe }
 
 func (p probeInner) Insert(key core.Key) error { p.f.Insert(key); return nil }
+func (p probeInner) InsertBatch(keys []core.Key) (int, error) {
+	p.f.InsertBatch(keys)
+	return len(keys), nil
+}
 func (p probeInner) Contains(key core.Key) bool {
 	return p.f.Contains(key)
 }

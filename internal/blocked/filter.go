@@ -23,6 +23,10 @@ type Probe interface {
 	core.BatchProber
 	// Insert adds a key. Inserts never fail for Bloom filters.
 	Insert(key core.Key)
+	// InsertBatch adds keys, leaving the filter words byte-identical to
+	// calling Insert per key in order. The default geometry overlaps the
+	// keys' cache misses in a pipelined kernel; it allocates nothing.
+	InsertBatch(keys []core.Key)
 	// Contains reports whether key may be in the set (no false negatives).
 	Contains(key core.Key) bool
 	// SizeBits returns the actual filter size in bits after rounding.

@@ -1,6 +1,8 @@
 package blocked
 
 import (
+	"bytes"
+	"encoding"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -315,27 +317,57 @@ func TestDuplicateInsertIdempotent(t *testing.T) {
 }
 
 func TestBatchSizesIncludingTails(t *testing.T) {
-	// Exercise the unrolled kernels' tail handling at every remainder.
-	f, _ := New(RegisterBlockedParams(32, 4, false), 1<<12)
-	r := rng.NewSplitMix64(5)
-	for i := 0; i < 100; i++ {
-		f.Insert(r.Uint32())
-	}
-	for size := 0; size <= 20; size++ {
-		probe := make([]uint32, size)
-		for i := range probe {
-			probe[i] = r.Uint32()
-		}
-		sel := f.ContainsBatch(probe, nil)
-		want := 0
-		for _, k := range probe {
-			if f.Contains(k) {
-				want++
+	// Exercise the unrolled kernels' tail handling at the pipeline-group
+	// boundaries (cacheUnroll = registerUnroll = 16) for every geometry:
+	// InsertBatch must leave the words byte-identical to scalar Insert —
+	// whether it runs the insert kernel or falls back — and ContainsBatch
+	// must agree with Contains at every probe length up to two groups.
+	lengths := []int{0, 1, 15, 16, 17, 31, 32, 33, 1000}
+	kernels := 0
+	for _, p := range allParams() {
+		t.Run(p.String(), func(t *testing.T) {
+			r := rng.NewSplitMix64(5)
+			var batch Probe
+			for _, n := range lengths {
+				keys := make([]uint32, n)
+				for i := range keys {
+					keys[i] = r.Uint32()
+				}
+				scalar, _ := New(p, 1<<16)
+				batch, _ = New(p, 1<<16)
+				for _, k := range keys {
+					scalar.Insert(k)
+				}
+				batch.InsertBatch(keys)
+				want, _ := scalar.(encoding.BinaryMarshaler).MarshalBinary()
+				got, _ := batch.(encoding.BinaryMarshaler).MarshalBinary()
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d keys: InsertBatch words differ from scalar Insert", n)
+				}
 			}
-		}
-		if len(sel) != want {
-			t.Fatalf("size %d: batch found %d, scalar %d", size, len(sel), want)
-		}
+			if f, ok := batch.(*Filter[uint64]); ok && f.kernel == kernelCacheSectorizedZ2K8 {
+				kernels++
+			}
+			for n := 0; n <= 33; n++ {
+				probe := make([]uint32, n)
+				for i := range probe {
+					probe[i] = r.Uint32()
+				}
+				sel := batch.ContainsBatch(probe, nil)
+				want := 0
+				for _, k := range probe {
+					if batch.Contains(k) {
+						want++
+					}
+				}
+				if len(sel) != want {
+					t.Fatalf("size %d: batch found %d, scalar %d", n, len(sel), want)
+				}
+			}
+		})
+	}
+	if kernels != 2 {
+		t.Fatalf("%d configurations ran the insert kernel, want 2 (one per addressing mode)", kernels)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"perfilter/internal/simd"
 )
 
-// Batch probe kernels. The paper compiles one branch-free function per
-// filter configuration (§5); here ContainsBatch switches once per batch on
-// a kernel chosen at construction from the filter's own Params
+// Batch kernels. The paper compiles one branch-free function per filter
+// configuration (§5); here ContainsBatch switches once per batch on a
+// probe kernel chosen at construction from the filter's own Params
 // (selectKernel):
 //
 //   - batchRegister: register-blocked, one word per key;
@@ -23,7 +23,14 @@ import (
 //   - batchGeneric: everything else, and the reference every other kernel
 //     is pinned to by TestPipelinedKernelsMatchGeneric.
 //
-// All kernels return exactly what Contains returns per key.
+// All probe kernels return exactly what Contains returns per key.
+//
+// InsertBatch has one kernel, insertCacheSectorizedZ2K8, for the default
+// geometry: it shares the compute phase drawsZ2K8 with
+// batchCacheSectorizedZ2K8 and ORs each group's masks in after it. Every
+// other geometry, and the tail of a batch shorter than cacheUnroll, runs
+// scalar Insert. The filter words end up byte-identical to scalar Insert
+// per key (TestBatchSizesIncludingTails).
 
 // Software-pipeline depths of the batch kernels: hashes, block addresses
 // and search masks for this many keys are computed before the
@@ -71,6 +78,18 @@ func (f *Filter[W]) ContainsBatch(keys []core.Key, sel core.SelVec) core.SelVec 
 	return buf[:cnt]
 }
 
+// InsertBatch adds keys, leaving the filter words byte-identical to
+// calling Insert per key; only the default geometry has a kernel.
+func (f *Filter[W]) InsertBatch(keys []core.Key) {
+	i := 0
+	if f.kernel == kernelCacheSectorizedZ2K8 {
+		i = f.insertCacheSectorizedZ2K8(keys)
+	}
+	for _, key := range keys[i:] {
+		f.Insert(key)
+	}
+}
+
 // kernelID names the batch kernel ContainsBatch runs for a filter.
 type kernelID uint8
 
@@ -102,10 +121,10 @@ func (f *Filter[W]) selectKernel() kernelID {
 	}
 }
 
-// planIsZ2K8 reports whether the draw plan has the layout
-// batchCacheSectorizedZ2K8 hard-codes: one 24-bit chunk per group, the
-// block address, both sector selects and group 0's chunk in hash word 0,
-// and group 1's chunk in hash word 1.
+// planIsZ2K8 reports whether the draw plan has the layout drawsZ2K8
+// hard-codes: one 24-bit chunk per group, the block address, both sector
+// selects and group 0's chunk in hash word 0, and group 1's chunk in hash
+// word 1.
 func (f *Filter[W]) planIsZ2K8() bool {
 	return f.chunksPerGroup == 1 && f.chunkBits == 24 && f.planWords == 2 &&
 		f.blockLoc.word == 0 && f.secLoc[0].word == 0 && f.chunkLoc[0][0].word == 0 &&
@@ -285,16 +304,16 @@ func (f *Filter[W]) batchCacheSectorized(keys []core.Key, out []uint32, cnt int)
 	return cnt
 }
 
-// batchCacheSectorizedZ2K8 is batchCacheSectorized specialised to the
-// registry's default geometry (selectKernel): W = S = 64, z = 2 and k = 8,
-// so each group's k/z = 4 bit addresses come from one 24-bit chunk, and a
-// key needs two hash words. The plan's shifts are hoisted into locals once
-// per batch and the four field extractions are unrolled, leaving no
-// per-field loop or hash-word indexing in the compute phase.
-func (f *Filter[W]) batchCacheSectorizedZ2K8(keys []core.Key, out []uint32, cnt int) int {
+// drawsZ2K8 is the compute phase of both default-geometry kernels
+// (selectKernel): W = S = 64, z = 2 and k = 8, so each group's k/z = 4 bit
+// addresses come from one 24-bit chunk, and a key needs two hash words.
+// For the cacheUnroll keys of grp it fills each group's word index and
+// sector-relative mask without touching a filter word. The plan's shifts
+// are hoisted into locals once per group of keys and the four field
+// extractions are unrolled, leaving no per-field loop or hash-word
+// indexing.
+func (f *Filter[W]) drawsZ2K8(grp *[cacheUnroll]core.Key, widx *[cacheUnroll][2]uint64, mask *[cacheUnroll][2]W) {
 	var (
-		n        = len(keys)
-		words    = f.words
 		wpb      = uint64(f.wordsPerBlock)
 		g        = uint64(f.secPerGroup)
 		gMask    = f.groupMask
@@ -306,30 +325,40 @@ func (f *Filter[W]) batchCacheSectorizedZ2K8(keys []core.Key, out []uint32, cnt 
 		c0Shift  = f.chunkLoc[0][0].shift
 		s1Shift  = f.secLoc[1].shift
 		c1Shift  = f.chunkLoc[1][0].shift
-		widx     [cacheUnroll][2]uint64
-		mask     [cacheUnroll][2]W
+	)
+	for l, key := range grp {
+		h0 := hashing.Mult64(key)
+		h1 := rng.Mix64(uint64(key) + hashing.Golden64)
+		h := uint32(h0 >> bShift)
+		var block uint32
+		if useMagic {
+			block = dv.Mod(h)
+		} else {
+			block = h & bMask
+		}
+		base := uint64(block) * wpb
+		c0 := uint32(h0 >> c0Shift)
+		c1 := uint32(h1 >> c1Shift)
+		widx[l][0] = base + uint64(uint32(h0>>s0Shift)&gMask)
+		widx[l][1] = base + g + uint64(uint32(h0>>s1Shift)&gMask)
+		mask[l][0] = W(1)<<(c0>>18&63) | W(1)<<(c0>>12&63) | W(1)<<(c0>>6&63) | W(1)<<(c0&63)
+		mask[l][1] = W(1)<<(c1>>18&63) | W(1)<<(c1>>12&63) | W(1)<<(c1>>6&63) | W(1)<<(c1&63)
+	}
+}
+
+// batchCacheSectorizedZ2K8 is batchCacheSectorized specialised to the
+// default geometry: drawsZ2K8 computes a group of keys, then their two
+// words each are loaded and tested.
+func (f *Filter[W]) batchCacheSectorizedZ2K8(keys []core.Key, out []uint32, cnt int) int {
+	var (
+		n     = len(keys)
+		words = f.words
+		widx  [cacheUnroll][2]uint64
+		mask  [cacheUnroll][2]W
 	)
 	i := 0
 	for ; i+cacheUnroll <= n; i += cacheUnroll {
-		for l := 0; l < cacheUnroll; l++ {
-			key := keys[i+l]
-			h0 := hashing.Mult64(key)
-			h1 := rng.Mix64(uint64(key) + hashing.Golden64)
-			h := uint32(h0 >> bShift)
-			var block uint32
-			if useMagic {
-				block = dv.Mod(h)
-			} else {
-				block = h & bMask
-			}
-			base := uint64(block) * wpb
-			c0 := uint32(h0 >> c0Shift)
-			c1 := uint32(h1 >> c1Shift)
-			widx[l][0] = base + uint64(uint32(h0>>s0Shift)&gMask)
-			widx[l][1] = base + g + uint64(uint32(h0>>s1Shift)&gMask)
-			mask[l][0] = W(1)<<(c0>>18&63) | W(1)<<(c0>>12&63) | W(1)<<(c0>>6&63) | W(1)<<(c0&63)
-			mask[l][1] = W(1)<<(c1>>18&63) | W(1)<<(c1>>12&63) | W(1)<<(c1>>6&63) | W(1)<<(c1&63)
-		}
+		f.drawsZ2K8((*[cacheUnroll]core.Key)(keys[i:]), &widx, &mask)
 		for l := 0; l < cacheUnroll; l++ {
 			m0, m1 := mask[l][0], mask[l][1]
 			missing := (words[widx[l][0]]&m0 ^ m0) | (words[widx[l][1]]&m1 ^ m1)
@@ -350,6 +379,28 @@ func (f *Filter[W]) batchCacheSectorizedZ2K8(keys []core.Key, out []uint32, cnt 
 		cnt += inc
 	}
 	return cnt
+}
+
+// insertCacheSectorizedZ2K8 is the insert kernel of the default geometry:
+// drawsZ2K8 computes a group of keys, then their masks are ORed into
+// their words, so the group's cache misses overlap instead of one
+// unoverlapped miss per key. It returns how many keys it inserted, a
+// multiple of cacheUnroll; the caller inserts the tail.
+func (f *Filter[W]) insertCacheSectorizedZ2K8(keys []core.Key) int {
+	var (
+		words = f.words
+		widx  [cacheUnroll][2]uint64
+		mask  [cacheUnroll][2]W
+	)
+	i := 0
+	for ; i+cacheUnroll <= len(keys); i += cacheUnroll {
+		f.drawsZ2K8((*[cacheUnroll]core.Key)(keys[i:]), &widx, &mask)
+		for l := 0; l < cacheUnroll; l++ {
+			words[widx[l][0]] |= mask[l][0]
+			words[widx[l][1]] |= mask[l][1]
+		}
+	}
+	return i
 }
 
 // batchSectorized is the fully sectorized kernel (z == s, word-sized

@@ -35,6 +35,14 @@ type BatchProber interface {
 type Filter interface {
 	// Insert adds a key. Only cuckoo filters can fail.
 	Insert(key Key) error
+	// InsertBatch adds keys and returns how many were inserted, stopping
+	// at the first error. A single filter inserts in input order, so on
+	// error exactly keys[:n] are in it; a sharded filter inserts shard by
+	// shard, so its n keys need not be a prefix. The filter ends up
+	// exactly as if Insert had been called per key — batch kernels only
+	// overlap the keys' memory accesses — and the call allocates nothing
+	// beyond what those Inserts would.
+	InsertBatch(keys []Key) (int, error)
 	// Contains reports whether key may be in the set. Inserted keys are
 	// always reported (no false negatives).
 	Contains(key Key) bool

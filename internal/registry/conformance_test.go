@@ -61,7 +61,8 @@ func TestEveryModelKindHasDescriptor(t *testing.T) {
 // default configuration, inserts keys, serializes through the
 // descriptor's Marshal and decodes through the magic-keyed Decode,
 // asserting probe-for-probe equivalence — the registry's replacement for
-// serialize.go's former per-kind dispatch must reproduce it exactly.
+// serialize.go's former per-kind dispatch must reproduce it exactly. A
+// twin built with one InsertBatch must serialize to the same bytes.
 func TestDescriptorRoundTrip(t *testing.T) {
 	keys := testKeys(500)
 	probes := testKeys(4000)
@@ -77,20 +78,37 @@ func TestDescriptorRoundTrip(t *testing.T) {
 					t.Fatalf("Insert: %v", err)
 				}
 			}
-			if d.Sealable {
-				// The Sealable flag promises the build-once contract;
-				// honour it before serializing a solved table.
-				sealer, ok := f.(interface{ Seal() error })
-				if !ok {
-					t.Fatalf("Sealable descriptor built %T without Seal", f)
-				}
-				if err := sealer.Seal(); err != nil {
-					t.Fatalf("Seal: %v", err)
-				}
-			}
-			data, err := d.Marshal(f)
+			// The same keys through one InsertBatch must encode
+			// byte-identically: batch kernels only reorder memory access.
+			fb, err := d.New(d.Default, 1<<16)
 			if err != nil {
-				t.Fatalf("Marshal: %v", err)
+				t.Fatalf("New: %v", err)
+			}
+			if n, err := fb.InsertBatch(keys); n != len(keys) || err != nil {
+				t.Fatalf("InsertBatch = (%d, %v), want (%d, nil)", n, err, len(keys))
+			}
+			encode := func(f registry.Filter) []byte {
+				if d.Sealable {
+					// The Sealable flag promises the build-once
+					// contract; honour it before serializing a solved
+					// table.
+					sealer, ok := f.(interface{ Seal() error })
+					if !ok {
+						t.Fatalf("Sealable descriptor built %T without Seal", f)
+					}
+					if err := sealer.Seal(); err != nil {
+						t.Fatalf("Seal: %v", err)
+					}
+				}
+				data, err := d.Marshal(f)
+				if err != nil {
+					t.Fatalf("Marshal: %v", err)
+				}
+				return data
+			}
+			data := encode(f)
+			if !bytes.Equal(encode(fb), data) {
+				t.Fatal("InsertBatch encodes differently from per-key Insert")
 			}
 			dd := registry.ByMagic(d.WireMagic)
 			if dd != d {

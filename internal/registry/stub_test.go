@@ -30,6 +30,12 @@ func (s *stubFilter) ContainsBatch(keys []registry.Key, sel []uint32) []uint32 {
 	}
 	return sel
 }
+func (s *stubFilter) InsertBatch(keys []registry.Key) (int, error) {
+	for _, k := range keys {
+		s.keys[k] = true
+	}
+	return len(keys), nil
+}
 func (s *stubFilter) SizeBits() uint64     { return s.bits }
 func (s *stubFilter) FPR(n uint64) float64 { return 0 }
 func (s *stubFilter) Reset()               { clear(s.keys) }

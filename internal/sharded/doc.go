@@ -21,6 +21,9 @@
 //   - Scatter/gather batches. ContainsBatch and InsertBatch partition the
 //     batch by shard with the same counting-sort pass and run each
 //     shard's keys under its lock — in parallel for large batches.
+//     insertRun hands a shard's whole run to the shard's own InsertBatch
+//     in one call, so a kind with a batch insert kernel (blocked Bloom's
+//     default geometry) overlaps the run's cache misses under the lock.
 //     ContainsBatch merges per-shard hits back into one
 //     position-preserving, ascending selection vector: byte-identical to
 //     probing the same P filters sequentially, and to the scalar Contains

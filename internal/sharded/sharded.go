@@ -555,10 +555,11 @@ func probeRun(g *generation, sc *batchScratch, parent *obs.Span, s int) {
 	}
 }
 
-// insertRun inserts run, shard s's keys, under that shard's write lock —
-// the per-shard unit the single-shard path, the sequential insert loop
-// and the pool workers all execute. It returns how many keys landed
-// before any error; on error the run stops at the failing key.
+// insertRun inserts run, shard s's keys, under that shard's write lock
+// with one call to the shard's InsertBatch — the per-shard unit the
+// single-shard path, the sequential insert loop and the pool workers all
+// execute. It returns how many keys landed before any error; on error the
+// run stops at the failing key.
 func insertRun(g *generation, run []Key, parent *obs.Span, s int, dual bool) (int, error) {
 	if len(run) == 0 {
 		return 0, nil
@@ -575,22 +576,16 @@ func insertRun(g *generation, run []Key, parent *obs.Span, s int, dual bool) (in
 	}
 	sh := g.shards[s]
 	sh.mu.Lock()
-	for i, k := range run {
-		if err := sh.f.Insert(k); err != nil {
-			sh.mu.Unlock()
-			if c != nil {
-				c.SetAttr("error", err.Error())
-				c.End()
-			}
-			return i, err
-		}
-		sh.count++
-	}
+	n, err := sh.f.InsertBatch(run)
+	sh.count += uint64(n)
 	sh.mu.Unlock()
 	if c != nil {
+		if err != nil {
+			c.SetAttr("error", err.Error())
+		}
 		c.End()
 	}
-	return len(run), nil
+	return n, err
 }
 
 // Rotate builds a complete replacement generation off to the side and

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"perfilter/internal/blocked"
+	"perfilter/internal/cuckoo"
 	"perfilter/internal/exact"
 	"perfilter/internal/rng"
 )
@@ -17,6 +18,12 @@ import (
 type exactInner struct{ s *exact.Set }
 
 func (e exactInner) Insert(key Key) error { e.s.Insert(key); return nil }
+func (e exactInner) InsertBatch(keys []Key) (int, error) {
+	for _, k := range keys {
+		e.s.Insert(k)
+	}
+	return len(keys), nil
+}
 func (e exactInner) Contains(key Key) bool {
 	return e.s.Contains(key)
 }
@@ -34,6 +41,10 @@ func exactFactory() (Inner, error) { return exactInner{exact.New(1024)}, nil }
 type bloomInner struct{ f blocked.Probe }
 
 func (b bloomInner) Insert(key Key) error { b.f.Insert(key); return nil }
+func (b bloomInner) InsertBatch(keys []Key) (int, error) {
+	b.f.InsertBatch(keys)
+	return len(keys), nil
+}
 func (b bloomInner) Contains(key Key) bool {
 	return b.f.Contains(key)
 }
@@ -581,6 +592,14 @@ func (f *fullAfter) Insert(key Key) error {
 	f.n++
 	return f.inner.Insert(key)
 }
+func (f *fullAfter) InsertBatch(keys []Key) (int, error) {
+	for i, k := range keys {
+		if err := f.Insert(k); err != nil {
+			return i, err
+		}
+	}
+	return len(keys), nil
+}
 func (f *fullAfter) Contains(key Key) bool { return f.inner.Contains(key) }
 func (f *fullAfter) ContainsBatch(keys []Key, sel []uint32) []uint32 {
 	return f.inner.ContainsBatch(keys, sel)
@@ -617,24 +636,66 @@ func TestInsertBatch(t *testing.T) {
 	}
 }
 
+// cuckooInner is a real cuckoo shard: once its table saturates, Insert
+// returns cuckoo.ErrFull.
+type cuckooInner struct{ *cuckoo.Filter }
+
+func (c cuckooInner) InsertBatch(keys []Key) (int, error) {
+	for i, k := range keys {
+		if err := c.Insert(k); err != nil {
+			return i, err
+		}
+	}
+	return len(keys), nil
+}
+func (c cuckooInner) String() string { return c.Params().String() }
+
 func TestInsertBatchStopsWhenFull(t *testing.T) {
 	const perShard = 100
-	f, err := New(func() (Inner, error) {
-		return &fullAfter{inner: exactInner{exact.New(1024)}, capacity: perShard}, nil
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.NewMT19937(17)
-	keys := make([]Key, 4*perShard+500)
-	for i := range keys {
-		keys[i] = r.Uint32()
-	}
-	n, err := f.InsertBatch(context.Background(), keys)
-	if err == nil {
-		t.Fatal("InsertBatch on saturating shards returned no error")
-	}
-	if n == 0 || uint64(n) != f.Count() {
-		t.Fatalf("InsertBatch reported %d inserted, Count says %d", n, f.Count())
+	for _, tc := range []struct {
+		name    string
+		factory Factory
+	}{
+		{"fullAfter", func() (Inner, error) {
+			return &fullAfter{inner: exactInner{exact.New(1024)}, capacity: perShard}, nil
+		}},
+		// 32 buckets of 4 8-bit tags hold about 120 keys, so each shard
+		// saturates partway through its ~225-key run.
+		{"cuckoo", func() (Inner, error) {
+			f, err := cuckoo.New(cuckoo.Params{TagBits: 8, BucketSize: 4}, perShard*8)
+			return cuckooInner{f}, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(tc.factory, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.NewMT19937(17)
+			keys := make([]Key, 4*perShard+500)
+			for i := range keys {
+				keys[i] = r.Uint32()
+			}
+			n, err := f.InsertBatch(context.Background(), keys)
+			if err == nil {
+				t.Fatal("InsertBatch on saturating shards returned no error")
+			}
+			if n == 0 || uint64(n) != f.Count() {
+				t.Fatalf("InsertBatch reported %d inserted, Count says %d", n, f.Count())
+			}
+			// Each shard inserts its run in input order and stops at its
+			// first error, so its count is a prefix of its run.
+			left := f.Stats().PerShard
+			for _, k := range keys {
+				s := f.ShardOf(k)
+				if left[s] == 0 {
+					continue
+				}
+				left[s]--
+				if !f.Contains(k) {
+					t.Fatalf("counted key %d probes negative", k)
+				}
+			}
+		})
 	}
 }

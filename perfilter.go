@@ -82,9 +82,10 @@ func HashString(s string) Key {
 var ErrFull = cuckoo.ErrFull
 
 // Filter is the unified filter interface (§5 of the paper): scalar and
-// batched membership tests, with the batched form producing a selection
-// vector of matching positions. Insert fails only for cuckoo filters
-// (ErrFull).
+// batched inserts and membership tests, with the batched probe producing
+// a selection vector of matching positions. Insert and InsertBatch fail
+// only for cuckoo filters (ErrFull); InsertBatch stops at the first
+// failure and reports how many keys it inserted.
 type Filter = core.Filter
 
 // Kind selects a filter family.
@@ -313,6 +314,17 @@ type CuckooFilter struct {
 // Insert implements Filter; it can return ErrFull.
 func (c *CuckooFilter) Insert(key Key) error { return c.f.Insert(key) }
 
+// InsertBatch implements Filter, one Insert per key; it stops at the
+// first ErrFull.
+func (c *CuckooFilter) InsertBatch(keys []Key) (int, error) {
+	for i, k := range keys {
+		if err := c.f.Insert(k); err != nil {
+			return i, err
+		}
+	}
+	return len(keys), nil
+}
+
 // Contains implements Filter.
 func (c *CuckooFilter) Contains(key Key) bool { return c.f.Contains(key) }
 
@@ -364,6 +376,16 @@ type XorFilter struct {
 // post-seal).
 func (x *XorFilter) Insert(key Key) error { return x.f.Insert(key) }
 
+// InsertBatch implements Filter, one Insert per key.
+func (x *XorFilter) InsertBatch(keys []Key) (int, error) {
+	for i, k := range keys {
+		if err := x.f.Insert(k); err != nil {
+			return i, err
+		}
+	}
+	return len(keys), nil
+}
+
 // Contains implements Filter.
 func (x *XorFilter) Contains(key Key) bool { return x.f.Contains(key) }
 
@@ -406,6 +428,10 @@ type blockedAdapter struct {
 }
 
 func (a *blockedAdapter) Insert(key Key) error { a.f.Insert(key); return nil }
+func (a *blockedAdapter) InsertBatch(keys []Key) (int, error) {
+	a.f.InsertBatch(keys)
+	return len(keys), nil
+}
 func (a *blockedAdapter) Contains(key Key) bool {
 	return a.f.Contains(key)
 }
@@ -426,6 +452,12 @@ type classicAdapter struct {
 }
 
 func (a *classicAdapter) Insert(key Key) error { a.f.Insert(key); return nil }
+func (a *classicAdapter) InsertBatch(keys []Key) (int, error) {
+	for _, k := range keys {
+		a.f.Insert(k)
+	}
+	return len(keys), nil
+}
 func (a *classicAdapter) Contains(key Key) bool {
 	return a.f.Contains(key)
 }
@@ -445,6 +477,12 @@ type exactAdapter struct {
 func (a *exactAdapter) Insert(key Key) error {
 	a.s.Insert(key)
 	return nil
+}
+func (a *exactAdapter) InsertBatch(keys []Key) (int, error) {
+	for _, k := range keys {
+		a.s.Insert(k)
+	}
+	return len(keys), nil
 }
 func (a *exactAdapter) Contains(key Key) bool { return a.s.Contains(key) }
 func (a *exactAdapter) ContainsBatch(keys []Key, sel []uint32) []uint32 {
