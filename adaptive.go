@@ -331,17 +331,16 @@ func (a *Adaptive) WorkloadWindow() (adaptive.Counters, bool) {
 func (a *Adaptive) Config() Config { return a.s.Config() }
 
 // Rotate is Sharded.Rotate with the standard clearing contract:
-// the filter's contents are replaced by a fresh generation of mBits total
-// bits (0 keeps the size), populated by fill if non-nil. The key log
-// rotates in lockstep: a fresh log epoch is published before the sharded
-// rotation opens its dual-write window, writers re-check the log pointer
-// after every insert, and fill's inserts are logged into the new epoch —
-// so after the swap the new log covers exactly (a superset of) the new
+// the filter's contents are replaced by an empty generation of mBits
+// total bits (0 keeps the size). The key log rotates in lockstep: a fresh
+// log epoch is published before the sharded rotation opens its dual-write
+// window, and writers re-check the log pointer after every insert — so
+// after the swap the new log covers exactly (a superset of) the new
 // generation, the tracked counters restart, and later migrations cannot
 // resurrect cleared keys. To resize *without* clearing, use Migrate with
 // the current configuration. A sampled span in ctx gains the sharded
 // layer's "sharded.rotate" child.
-func (a *Adaptive) Rotate(ctx context.Context, mBits uint64, fill func(insert func(Key) error) error) error {
+func (a *Adaptive) Rotate(ctx context.Context, mBits uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	old := a.log.Load()
@@ -351,16 +350,7 @@ func (a *Adaptive) Rotate(ctx context.Context, mBits uint64, fill func(insert fu
 	// which was published after this store, so its post-insert re-check
 	// sees the new log and records the key there.
 	a.log.Store(fresh)
-	wrapped := fill
-	if fill != nil {
-		wrapped = func(insert func(Key) error) error {
-			return fill(func(k Key) error {
-				fresh.Append(k)
-				return insert(k)
-			})
-		}
-	}
-	if err := a.s.Rotate(ctx, mBits, wrapped); err != nil {
+	if err := a.s.Rotate(ctx, mBits, nil); err != nil {
 		// The rotation aborted: the retiring generation still serves, so
 		// restore its log and fold in the keys writers logged into the
 		// aborted epoch (their inserts landed in the retiring generation).
@@ -368,7 +358,7 @@ func (a *Adaptive) Rotate(ctx context.Context, mBits uint64, fill func(insert fu
 		// insert and re-append to the restored log, so the merge and the
 		// re-checks together keep the superset invariant.
 		a.log.Store(old)
-		fresh.Snapshot().Replay(func(k Key) error { old.Append(k); return nil }, false)
+		old.AppendBatch(fresh.Snapshot().Keys())
 		return err
 	}
 	a.stats.Reset()
@@ -603,7 +593,7 @@ func (a *Adaptive) migrateLocked(ctx context.Context, cfg Config, mBits uint64) 
 	prev := a.s.Config()
 	log := a.log.Load()
 	if err := a.s.Migrate(ctx, cfg, mBits, func(insert func(Key) error) error {
-		return log.Snapshot().Replay(insert, true)
+		return log.Snapshot().Replay(insert)
 	}); err != nil {
 		return err
 	}
@@ -664,13 +654,6 @@ func (a *Adaptive) migrateAs(ctx context.Context, cfg Config, mBits uint64, d ad
 	a.lastMigration = d.At
 	a.trace.Add(d)
 	return nil
-}
-
-// Decisions returns a copy of the retained decision history, oldest
-// first (at most MaxDecisions entries — the trace ring's capacity).
-func (a *Adaptive) Decisions() []adaptive.Decision {
-	d, _ := a.trace.Snapshot()
-	return d
 }
 
 // DecisionTrace returns the retained decision history, oldest first,

@@ -307,7 +307,8 @@ func TestAdaptiveLiveCrossover(t *testing.T) {
 	// The flip may come from a periodic Reoptimize or from the ErrFull
 	// emergency path; either way it must be in the decision history.
 	var flipN uint64
-	for _, d := range a.Decisions() {
+	trace, _ := a.DecisionTrace()
+	for _, d := range trace {
 		if d.Migrated && d.KindChanged {
 			flipN = d.N
 			break
@@ -419,7 +420,8 @@ func TestAdaptiveErrFullRecovery(t *testing.T) {
 		t.Fatalf("%d of %d keys present after emergency growth", len(sel), total)
 	}
 	grown := false
-	for _, d := range a.Decisions() {
+	trace, _ := a.DecisionTrace()
+	for _, d := range trace {
 		if d.Migrated {
 			grown = true
 		}
@@ -462,7 +464,7 @@ func TestAdaptiveRotateClearsWithoutResurrection(t *testing.T) {
 
 	// Rotate: clears contents, restarts the log epoch and the counters.
 	gen := a.Generation()
-	if err := a.Rotate(context.Background(), 16*n, nil); err != nil {
+	if err := a.Rotate(context.Background(), 16*n); err != nil {
 		t.Fatal(err)
 	}
 	if a.Generation() != gen+1 {
@@ -680,7 +682,7 @@ func TestAdaptiveXorMigrationLosslessUnderWriters(t *testing.T) {
 				missing++
 			}
 			return nil
-		}, true)
+		})
 		if missing != 0 {
 			t.Fatalf("%d logged keys missing from the filter (false negatives)", missing)
 		}

@@ -104,7 +104,8 @@ func runAdaptive(tw float64, quick bool) ([]bench.Series, *bench.AdaptiveSummary
 		tput.Y = append(tput.Y, float64(reps*len(probe))/el/1e6)
 	}
 
-	for _, d := range a.Decisions() {
+	trace, _ := a.DecisionTrace()
+	for _, d := range trace {
 		if !d.Migrated {
 			continue
 		}

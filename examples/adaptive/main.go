@@ -69,7 +69,8 @@ func main() {
 	}
 
 	fmt.Println("control-loop decisions that migrated the filter:")
-	for _, d := range a.Decisions() {
+	trace, _ := a.DecisionTrace()
+	for _, d := range trace {
 		if !d.Migrated {
 			continue
 		}

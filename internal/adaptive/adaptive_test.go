@@ -80,23 +80,13 @@ func TestKeyLogAppendSnapshotReplay(t *testing.T) {
 	if snap.Len() != 1005 {
 		t.Fatalf("snapshot len = %d, want 1005", snap.Len())
 	}
+	// Replay feeds each distinct key exactly once.
 	seen := make(map[core.Key]int)
-	if err := snap.Replay(func(k core.Key) error { seen[k]++; return nil }, false); err != nil {
+	if err := snap.Replay(func(k core.Key) error { seen[k]++; return nil }); err != nil {
 		t.Fatal(err)
-	}
-	if len(seen) != 1002 { // 0..1001
-		t.Fatalf("distinct replayed = %d, want 1002", len(seen))
-	}
-	if seen[1] != 2 || seen[2] != 2 || seen[3] != 2 {
-		t.Fatalf("duplicates not replayed without dedup: %d %d %d", seen[1], seen[2], seen[3])
 	}
 	if seen[9999] != 0 {
 		t.Fatal("post-snapshot key leaked into replay")
-	}
-	// Dedup mode replays each distinct key exactly once.
-	clear(seen)
-	if err := snap.Replay(func(k core.Key) error { seen[k]++; return nil }, true); err != nil {
-		t.Fatal(err)
 	}
 	for k, n := range seen {
 		if n != 1 {
@@ -159,7 +149,7 @@ func TestKeyLogConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got, total)
 	}
 	seen := make(map[core.Key]bool, total)
-	if err := l.Snapshot().Replay(func(k core.Key) error { seen[k] = true; return nil }, false); err != nil {
+	if err := l.Snapshot().Replay(func(k core.Key) error { seen[k] = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if uint64(len(seen)) != total {

@@ -116,23 +116,17 @@ type LogSnapshot struct {
 // Len returns the snapshot's key count (duplicates included).
 func (s LogSnapshot) Len() uint64 { return s.n }
 
-// Replay feeds every captured key to insert, stopping at the first error.
-// When dedup is true, each distinct key is replayed once — the right mode
-// for migrations (re-inserting a duplicate buys nothing for Bloom filters
-// and can saturate a Cuckoo bucket).
-func (s LogSnapshot) Replay(insert func(core.Key) error, dedup bool) error {
-	var seen map[core.Key]struct{}
-	if dedup {
-		seen = make(map[core.Key]struct{}, s.n)
-	}
+// Replay feeds each distinct captured key to insert once, stopping at the
+// first error — the right mode for migrations (re-inserting a duplicate
+// buys nothing for Bloom filters and can saturate a Cuckoo bucket).
+func (s LogSnapshot) Replay(insert func(core.Key) error) error {
+	seen := make(map[core.Key]struct{}, s.n)
 	for _, stripe := range s.stripes {
 		for _, k := range stripe {
-			if dedup {
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
+			if _, dup := seen[k]; dup {
+				continue
 			}
+			seen[k] = struct{}{}
 			if err := insert(k); err != nil {
 				return err
 			}

@@ -20,25 +20,6 @@ import (
 // configuration is used for both sides so the delta is purely the
 // synchronization strategy.
 
-// probeInner adapts blocked.Probe to sharded.Inner.
-type probeInner struct{ f blocked.Probe }
-
-func (p probeInner) Insert(key core.Key) error { p.f.Insert(key); return nil }
-func (p probeInner) InsertBatch(keys []core.Key) (int, error) {
-	p.f.InsertBatch(keys)
-	return len(keys), nil
-}
-func (p probeInner) Contains(key core.Key) bool {
-	return p.f.Contains(key)
-}
-func (p probeInner) ContainsBatch(keys []core.Key, sel core.SelVec) core.SelVec {
-	return p.f.ContainsBatch(keys, sel)
-}
-func (p probeInner) SizeBits() uint64     { return p.f.SizeBits() }
-func (p probeInner) FPR(n uint64) float64 { return p.f.FPR(n) }
-func (p probeInner) Reset()               { p.f.Reset() }
-func (p probeInner) String() string       { return p.f.Params().String() }
-
 func headlineParams() blocked.Params {
 	return blocked.CacheSectorizedParams(64, 512, 2, 8, true)
 }
@@ -48,11 +29,7 @@ func newSharded(mBits uint64, shards int) (*sharded.Filter, error) {
 	// sharded side totals the same memory as the baseline.
 	perShard, shards := sharded.SplitBits(mBits, shards)
 	return sharded.New(func() (sharded.Inner, error) {
-		f, err := blocked.New(headlineParams(), perShard)
-		if err != nil {
-			return nil, err
-		}
-		return probeInner{f}, nil
+		return blocked.New(headlineParams(), perShard)
 	}, shards)
 }
 

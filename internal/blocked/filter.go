@@ -17,30 +17,24 @@ type Word interface {
 }
 
 // Probe is the type-erased view of a blocked Bloom filter, independent of
-// the word type. All filters in the repository satisfy a compatible batched
-// contract (see core.BatchProber).
+// the word type: the core.Filter contract (Insert and InsertBatch never
+// fail; InsertBatch leaves the filter words byte-identical to calling
+// Insert per key in order, overlapping the keys' cache misses in a
+// pipelined kernel for the default geometry and allocating nothing) plus
+// the family's diagnostics and wire form.
 type Probe interface {
-	core.BatchProber
-	// Insert adds a key. Inserts never fail for Bloom filters.
-	Insert(key core.Key)
-	// InsertBatch adds keys, leaving the filter words byte-identical to
-	// calling Insert per key in order. The default geometry overlaps the
-	// keys' cache misses in a pipelined kernel; it allocates nothing.
-	InsertBatch(keys []core.Key)
-	// Contains reports whether key may be in the set (no false negatives).
-	Contains(key core.Key) bool
-	// SizeBits returns the actual filter size in bits after rounding.
-	SizeBits() uint64
+	core.Filter
 	// NumBlocks returns the block count the addressing resolves into.
 	NumBlocks() uint32
 	// Params returns the configuration.
 	Params() Params
-	// FPR returns the analytic expected false-positive rate with n keys.
-	FPR(n uint64) float64
 	// PopCount returns the number of set bits (for load diagnostics).
 	PopCount() uint64
-	// Reset clears the filter.
-	Reset()
+	// StorageAligned reports whether the word array starts on a
+	// cache-line boundary.
+	StorageAligned() bool
+	// MarshalBinary encodes the filter in its wire format.
+	MarshalBinary() ([]byte, error)
 }
 
 // Filter is a blocked Bloom filter over word type W. Use New to construct a
@@ -343,8 +337,8 @@ func (f *Filter[W]) drawPositions(sink *hashing.Sink, dst *[16]uint32) uint32 {
 	return i
 }
 
-// Insert adds key to the filter.
-func (f *Filter[W]) Insert(key core.Key) {
+// Insert adds key to the filter; it never fails.
+func (f *Filter[W]) Insert(key core.Key) error {
 	sink := hashing.NewSink(key)
 	base := uint64(f.blockIndex(&sink)) * uint64(f.wordsPerBlock)
 	if f.params.SectorBits <= f.wordBits {
@@ -354,7 +348,7 @@ func (f *Filter[W]) Insert(key core.Key) {
 			mask := f.drawMask(&sink) << (startBit & (f.wordBits - 1))
 			f.words[base+uint64(startBit>>f.log2Word)] |= mask
 		}
-		return
+		return nil
 	}
 	var pos [16]uint32
 	for g := uint32(0); g < f.groups; g++ {
@@ -366,6 +360,7 @@ func (f *Filter[W]) Insert(key core.Key) {
 			f.words[base+uint64(p>>f.log2Word)] |= W(1) << (p & (f.wordBits - 1))
 		}
 	}
+	return nil
 }
 
 // Contains reports whether key may be in the set. The test is branch-free
@@ -418,6 +413,9 @@ func (f *Filter[W]) NumBlocks() uint32 { return f.numBlocks }
 
 // Params returns the configuration.
 func (f *Filter[W]) Params() Params { return f.params }
+
+// String renders the configuration in the paper's notation.
+func (f *Filter[W]) String() string { return f.params.String() }
 
 // FPR returns the analytic false-positive rate for n inserted keys.
 func (f *Filter[W]) FPR(n uint64) float64 { return f.params.FPR(f.SizeBits(), n) }

@@ -79,8 +79,9 @@ func (f *Filter[W]) ContainsBatch(keys []core.Key, sel core.SelVec) core.SelVec 
 }
 
 // InsertBatch adds keys, leaving the filter words byte-identical to
-// calling Insert per key; only the default geometry has a kernel.
-func (f *Filter[W]) InsertBatch(keys []core.Key) {
+// calling Insert per key; only the default geometry has a kernel. It
+// never fails, so it always returns (len(keys), nil).
+func (f *Filter[W]) InsertBatch(keys []core.Key) (int, error) {
 	i := 0
 	if f.kernel == kernelCacheSectorizedZ2K8 {
 		i = f.insertCacheSectorizedZ2K8(keys)
@@ -88,6 +89,7 @@ func (f *Filter[W]) InsertBatch(keys []core.Key) {
 	for _, key := range keys[i:] {
 		f.Insert(key)
 	}
+	return len(keys), nil
 }
 
 // kernelID names the batch kernel ContainsBatch runs for a filter.

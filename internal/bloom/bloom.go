@@ -111,13 +111,22 @@ func (f *Filter) bitPos(s *hashing.Sink) uint32 {
 }
 
 // Insert adds a key, setting k bits anywhere in the array (up to k cache
-// lines touched — the classic filter's bandwidth cost).
-func (f *Filter) Insert(key core.Key) {
+// lines touched — the classic filter's bandwidth cost). It never fails.
+func (f *Filter) Insert(key core.Key) error {
 	s := hashing.NewSink(key)
 	for i := uint32(0); i < f.params.K; i++ {
 		pos := f.bitPos(&s)
 		f.words[pos>>6] |= 1 << (pos & 63)
 	}
+	return nil
+}
+
+// InsertBatch adds keys, one Insert per key; it never fails.
+func (f *Filter) InsertBatch(keys []core.Key) (int, error) {
+	for _, k := range keys {
+		f.Insert(k)
+	}
+	return len(keys), nil
 }
 
 // Contains reports whether key may be in the set. Negative probes
@@ -151,6 +160,9 @@ func (f *Filter) SizeBits() uint64 { return uint64(f.mBits) }
 
 // Params returns the configuration.
 func (f *Filter) Params() Params { return f.params }
+
+// String renders the configuration in the paper's notation.
+func (f *Filter) String() string { return f.params.String() }
 
 // FPR returns the analytic false-positive rate with n keys inserted.
 func (f *Filter) FPR(n uint64) float64 { return f.params.FPR(f.SizeBits(), n) }

@@ -284,6 +284,17 @@ func (f *Filter) Insert(key core.Key) error {
 	return nil
 }
 
+// InsertBatch adds keys, one Insert per key, and stops at the first
+// ErrFull; it returns how many keys it inserted (keys[:n]).
+func (f *Filter) InsertBatch(keys []core.Key) (int, error) {
+	for i, k := range keys {
+		if err := f.Insert(k); err != nil {
+			return i, err
+		}
+	}
+	return len(keys), nil
+}
+
 // Contains reports whether key may be in the set (no false negatives for
 // successfully inserted keys).
 func (f *Filter) Contains(key core.Key) bool {
@@ -370,6 +381,9 @@ func (f *Filter) LoadFactor() float64 {
 
 // Params returns the configuration.
 func (f *Filter) Params() Params { return f.params }
+
+// String renders the configuration in the paper's notation.
+func (f *Filter) String() string { return f.params.String() }
 
 // FPR returns the analytic false-positive rate (Eq. 8) with n keys stored.
 func (f *Filter) FPR(n uint64) float64 { return f.params.FPR(f.SizeBits(), n) }

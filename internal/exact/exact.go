@@ -57,9 +57,9 @@ func (s *Set) home(key core.Key) uint32 {
 	return uint32(hashing.Mult64(key)>>32) & s.mask
 }
 
-// Insert adds key to the set; duplicate inserts are no-ops. Returns true if
-// the key was newly added.
-func (s *Set) Insert(key core.Key) bool {
+// Insert adds key to the set; duplicate inserts are no-ops. It never
+// fails (the table grows).
+func (s *Set) Insert(key core.Key) error {
 	if float64(s.count+1) > float64(len(s.slots))*maxLoad {
 		s.grow()
 	}
@@ -73,10 +73,10 @@ func (s *Set) Insert(key core.Key) bool {
 		if sl.dist == 0 {
 			*sl = slot{key: key, dist: dist}
 			s.count++
-			return true
+			return nil
 		}
 		if sl.key == key {
-			return false
+			return nil
 		}
 		if sl.dist < dist {
 			break
@@ -92,7 +92,7 @@ func (s *Set) Insert(key core.Key) bool {
 		sl := &s.slots[idx]
 		if sl.dist == 0 {
 			*sl = cur
-			return true
+			return nil
 		}
 		if sl.dist < cur.dist {
 			*sl, cur = cur, *sl
@@ -100,6 +100,14 @@ func (s *Set) Insert(key core.Key) bool {
 		cur.dist++
 		idx = (idx + 1) & s.mask
 	}
+}
+
+// InsertBatch adds keys, one Insert per key; it never fails.
+func (s *Set) InsertBatch(keys []core.Key) (int, error) {
+	for _, k := range keys {
+		s.Insert(k)
+	}
+	return len(keys), nil
 }
 
 // Contains reports whether key is in the set — exactly.
@@ -170,6 +178,9 @@ func (s *Set) Len() int { return s.count }
 // SizeBits returns the memory footprint in bits (8 bytes per slot), for
 // apples-to-apples comparisons with the approximate filters.
 func (s *Set) SizeBits() uint64 { return uint64(len(s.slots)) * 64 }
+
+// FPR is always 0: the set has no false positives.
+func (s *Set) FPR(n uint64) float64 { return 0 }
 
 // Reset removes all keys, keeping the capacity.
 func (s *Set) Reset() {

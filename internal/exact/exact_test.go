@@ -15,8 +15,9 @@ func TestInsertContains(t *testing.T) {
 		k := r.Uint32()
 		if !keys[k] {
 			keys[k] = true
-			if !s.Insert(k) {
-				t.Fatalf("fresh insert of %d returned false", k)
+			before := s.Len()
+			if err := s.Insert(k); err != nil || s.Len() != before+1 {
+				t.Fatalf("fresh insert of %d: err %v, Len %d -> %d", k, err, before, s.Len())
 			}
 		}
 	}
@@ -53,9 +54,11 @@ func TestExactness(t *testing.T) {
 
 func TestDuplicateInsert(t *testing.T) {
 	s := New(16)
-	if !s.Insert(5) || s.Insert(5) {
-		t.Fatal("duplicate handling broken")
+	s.Insert(5)
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d after fresh insert", s.Len())
 	}
+	s.Insert(5)
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate insert", s.Len())
 	}
@@ -159,7 +162,9 @@ func TestReset(t *testing.T) {
 func TestQuickInsertDeleteRoundTrip(t *testing.T) {
 	s := New(1024)
 	if err := quick.Check(func(key uint32) bool {
-		fresh := s.Insert(key)
+		before := s.Len()
+		s.Insert(key)
+		fresh := s.Len() == before+1
 		if !s.Contains(key) {
 			return false
 		}
@@ -182,7 +187,9 @@ func TestQuickMirrorsMap(t *testing.T) {
 		k := r.Uint32n(2000) // dense range forces collisions
 		switch r.Uint32n(3) {
 		case 0:
-			if s.Insert(k) != !model[k] {
+			before := s.Len()
+			s.Insert(k)
+			if (s.Len() == before+1) != !model[k] {
 				t.Fatalf("insert disagreement for %d", k)
 			}
 			model[k] = true

@@ -9,6 +9,7 @@ package registry_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"perfilter"
@@ -58,11 +59,11 @@ func TestEveryModelKindHasDescriptor(t *testing.T) {
 }
 
 // TestDescriptorRoundTrip builds each constructible family from its
-// default configuration, inserts keys, serializes through the
-// descriptor's Marshal and decodes through the magic-keyed Decode,
-// asserting probe-for-probe equivalence — the registry's replacement for
-// serialize.go's former per-kind dispatch must reproduce it exactly. A
-// twin built with one InsertBatch must serialize to the same bytes.
+// default configuration, inserts keys, serializes through perfilter.Marshal
+// (the filter's own MarshalBinary) and decodes through the magic-keyed
+// Decode, asserting the decoded filter has the built filter's type and
+// answers probe-for-probe the same. A twin built with one InsertBatch
+// must serialize to the same bytes.
 func TestDescriptorRoundTrip(t *testing.T) {
 	keys := testKeys(500)
 	probes := testKeys(4000)
@@ -88,19 +89,14 @@ func TestDescriptorRoundTrip(t *testing.T) {
 				t.Fatalf("InsertBatch = (%d, %v), want (%d, nil)", n, err, len(keys))
 			}
 			encode := func(f registry.Filter) []byte {
-				if d.Sealable {
-					// The Sealable flag promises the build-once
-					// contract; honour it before serializing a solved
-					// table.
-					sealer, ok := f.(interface{ Seal() error })
-					if !ok {
-						t.Fatalf("Sealable descriptor built %T without Seal", f)
-					}
+				// Build-once families solve their table before
+				// serializing it.
+				if sealer, ok := f.(interface{ Seal() error }); ok {
 					if err := sealer.Seal(); err != nil {
 						t.Fatalf("Seal: %v", err)
 					}
 				}
-				data, err := d.Marshal(f)
+				data, err := perfilter.Marshal(f)
 				if err != nil {
 					t.Fatalf("Marshal: %v", err)
 				}
@@ -118,15 +114,15 @@ func TestDescriptorRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
-			if !d.Owns(g) {
-				t.Fatalf("decoded %T not owned by descriptor %s", g, d.Name)
+			if reflect.TypeOf(g) != reflect.TypeOf(f) {
+				t.Fatalf("decoded %T, built %T", g, f)
 			}
 			want := f.ContainsBatch(probes, nil)
 			got := g.ContainsBatch(probes, nil)
 			if fmt.Sprint(want) != fmt.Sprint(got) {
 				t.Fatalf("round-trip probe mismatch: %d vs %d hits", len(want), len(got))
 			}
-			data2, err := d.Marshal(g)
+			data2, err := perfilter.Marshal(g)
 			if err != nil {
 				t.Fatalf("re-Marshal: %v", err)
 			}
@@ -186,26 +182,24 @@ func TestEnumerableKindsParity(t *testing.T) {
 	}
 }
 
-// TestMutabilityParity asserts the registry's capability flags agree with
-// the model's spec table (an immutable family is exactly one carrying a
-// rebuild surcharge) and with the built filters' actual capabilities.
+// TestMutabilityParity asserts the model's spec table (an immutable
+// family is exactly one carrying a rebuild surcharge) agrees with the
+// built filters' capabilities: a family's filter implements Seal — the
+// sharded wrapper's build-once hook — exactly when it is immutable.
 func TestMutabilityParity(t *testing.T) {
 	for k := model.Kind(0); int(k) < model.NumKinds(); k++ {
 		d := registry.Lookup(k)
-		if d.Mutable != model.KindMutable(k) {
-			t.Errorf("kind %s: descriptor Mutable=%v, model KindMutable=%v",
-				k, d.Mutable, model.KindMutable(k))
-		}
-		if d.Sealable && d.Mutable {
-			t.Errorf("kind %s: sealable yet mutable", k)
-		}
 		f, err := d.New(d.Default, 1<<16)
 		if err != nil {
 			t.Fatalf("kind %s: New: %v", k, err)
 		}
 		_, seals := f.(interface{ Seal() error })
-		if seals != d.Sealable {
-			t.Errorf("kind %s: Sealable=%v but %T implements Seal=%v", k, d.Sealable, f, seals)
+		if seals != !model.KindMutable(k) {
+			t.Errorf("kind %s: %T implements Seal=%v, model KindMutable=%v",
+				k, f, seals, model.KindMutable(k))
+		}
+		if perfilter.KindMutable(perfilter.Kind(k)) != model.KindMutable(k) {
+			t.Errorf("kind %s: perfilter.KindMutable disagrees with the model", k)
 		}
 	}
 }

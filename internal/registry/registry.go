@@ -1,9 +1,12 @@
 // Package registry is the kind-descriptor table behind every per-kind
 // dispatch in the filter stack. Each filter family registers one immutable
-// Descriptor — its canonical name and aliases, wire magic, constructors,
-// decoder and capability flags — from an explicit register_<family>.go
-// file in the root package (a plain package-level `var _ = Register(...)`
-// expression, no init() functions, no blank-import side effects). The
+// Descriptor — its canonical name and aliases, wire magic, default
+// configuration, constructors and decoder — from an explicit
+// register_<family>.go file in the root package (a plain package-level
+// `var _ = Register(...)` expression, no init() functions, no
+// blank-import side effects). The filter type itself implements
+// core.Filter and its own MarshalBinary; mutability is the model spec's
+// (model.KindMutable), and build-once shards implement sharded.Sealer. The
 // construction, serialization, sharding and adaptive layers then resolve
 // kinds through lookups here instead of hand-written switches, so adding a
 // family is one descriptor file plus a model spec (internal/model's
@@ -67,20 +70,6 @@ type Descriptor struct {
 	// Decode reverses the family's MarshalBinary; Unmarshal dispatches to
 	// it by WireMagic.
 	Decode func(data []byte) (Filter, error)
-	// Marshal serializes a filter owned by this family (Owns(f) == true).
-	Marshal func(f Filter) ([]byte, error)
-	// Owns reports whether f is this family's concrete filter type.
-	Owns func(f Filter) bool
-
-	// Mutable reports whether the family absorbs inserts in place. An
-	// immutable (build-once) family amortizes rebuilds into its advised
-	// overhead, and the adaptive control loop falls back to a mutable
-	// family when writes resume on it.
-	Mutable bool
-	// Sealable marks build-once families whose shards implement
-	// Seal() error: the sharded wrapper solves staged shards after a
-	// rotation's fill completes.
-	Sealable bool
 }
 
 // Constructible reports whether the descriptor can build filters (it is a
@@ -171,17 +160,6 @@ func ByMagic(m uint32) *Descriptor { return byMagic[m] }
 
 // ByName resolves a canonical name or alias, or nil.
 func ByName(name string) *Descriptor { return byName[name] }
-
-// Owner returns the descriptor whose concrete filter type f is, or nil.
-// Concrete types are disjoint across families, so at most one matches.
-func Owner(f Filter) *Descriptor {
-	for _, d := range descriptors {
-		if d.Owns != nil && d.Owns(f) {
-			return d
-		}
-	}
-	return nil
-}
 
 // All returns every descriptor: constructible families first in Kind
 // order, then wire-only formats by name. The slice is fresh; the

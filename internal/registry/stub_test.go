@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"perfilter"
 	"perfilter/internal/model"
 	"perfilter/internal/registry"
 )
@@ -40,6 +41,16 @@ func (s *stubFilter) SizeBits() uint64     { return s.bits }
 func (s *stubFilter) FPR(n uint64) float64 { return 0 }
 func (s *stubFilter) Reset()               { clear(s.keys) }
 func (s *stubFilter) String() string       { return "stub" }
+
+// MarshalBinary writes the magic, the key count and the keys.
+func (s *stubFilter) MarshalBinary() ([]byte, error) {
+	out := binary.LittleEndian.AppendUint32(nil, stubWireMagic)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.keys)))
+	for k := range s.keys {
+		out = binary.LittleEndian.AppendUint32(out, k)
+	}
+	return out, nil
+}
 
 // stubWireMagic spells "pfLZ" like the real assignments but is not in
 // internal/magic: the stub never ships.
@@ -79,20 +90,6 @@ func TestStubKindRegistration(t *testing.T) {
 			}
 			return f, nil
 		},
-		Marshal: func(f registry.Filter) ([]byte, error) {
-			s := f.(*stubFilter)
-			out := binary.LittleEndian.AppendUint32(nil, stubWireMagic)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(s.keys)))
-			for k := range s.keys {
-				out = binary.LittleEndian.AppendUint32(out, k)
-			}
-			return out, nil
-		},
-		Owns: func(f registry.Filter) bool {
-			_, ok := f.(*stubFilter)
-			return ok
-		},
-		Mutable: true,
 	})
 	defer func() {
 		registry.Unregister("stub")
@@ -135,7 +132,7 @@ func TestStubKindRegistration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data, err := d.Marshal(f)
+	data, err := perfilter.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +140,7 @@ func TestStubKindRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Owns(g) {
+	if _, ok := g.(*stubFilter); !ok {
 		t.Fatalf("decoded stub is %T", g)
 	}
 	for _, k := range keys {

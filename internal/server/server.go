@@ -720,7 +720,7 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		ctx, sp := s.tracer.StartRootForced(r.Context(), "server.rotate")
 		sp.SetAttr("filter", name)
 		sp.SetAttr("mbits", req.MBits)
-		err := e.f.Rotate(ctx, req.MBits, nil)
+		err := e.f.Rotate(ctx, req.MBits)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
@@ -793,13 +793,14 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	decisions, _ := e.f.DecisionTrace()
 	writeJSON(w, http.StatusOK, AdviceResponse{
 		Name:    name,
 		Tracked: adv.Counters,
 		N:       adv.Workload.N, Tw: adv.Workload.Tw, Sigma: adv.Workload.Sigma,
 		Current: adviceSide(adv.Current), Best: adviceSide(adv.Best),
 		KindChange: adv.KindChange, WouldMigrate: adv.WouldMigrate,
-		Reason: adv.Reason, Decisions: e.f.Decisions(),
+		Reason: adv.Reason, Decisions: decisions,
 	})
 }
 

@@ -330,6 +330,13 @@ func TestProbeUnsampledAllocParity(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	disabled := measure(&obs.Tracer{}) // zero value: tracing off entirely
 	unsampled := measure(obs.NewTracer(obs.TracerOptions{SampleRate: 0, RingSize: 32}))
+	if raceEnabled {
+		// sync.Pool drops a quarter of Puts under -race, so both runs
+		// miss the server's probe buffers and the sharded scratch at
+		// random (about 50 times each in 200 requests) and either count
+		// can land on either side of an integer: no gate there.
+		return
+	}
 	if unsampled > disabled+0.5 {
 		t.Fatalf("unsampled tracing adds allocations on the probe path: %.1f/op vs %.1f/op disabled",
 			unsampled, disabled)

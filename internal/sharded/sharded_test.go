@@ -13,56 +13,13 @@ import (
 	"perfilter/internal/rng"
 )
 
-// exactInner adapts exact.Set (no false positives — every mismatch is a
-// real merge bug, not filter noise).
-type exactInner struct{ s *exact.Set }
-
-func (e exactInner) Insert(key Key) error { e.s.Insert(key); return nil }
-func (e exactInner) InsertBatch(keys []Key) (int, error) {
-	for _, k := range keys {
-		e.s.Insert(k)
-	}
-	return len(keys), nil
-}
-func (e exactInner) Contains(key Key) bool {
-	return e.s.Contains(key)
-}
-func (e exactInner) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return e.s.ContainsBatch(keys, sel)
-}
-func (e exactInner) SizeBits() uint64     { return e.s.SizeBits() }
-func (e exactInner) FPR(n uint64) float64 { return 0 }
-func (e exactInner) Reset()               { e.s.Reset() }
-func (e exactInner) String() string       { return e.s.String() }
-
-func exactFactory() (Inner, error) { return exactInner{exact.New(1024)}, nil }
-
-// bloomInner adapts a blocked Bloom filter.
-type bloomInner struct{ f blocked.Probe }
-
-func (b bloomInner) Insert(key Key) error { b.f.Insert(key); return nil }
-func (b bloomInner) InsertBatch(keys []Key) (int, error) {
-	b.f.InsertBatch(keys)
-	return len(keys), nil
-}
-func (b bloomInner) Contains(key Key) bool {
-	return b.f.Contains(key)
-}
-func (b bloomInner) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return b.f.ContainsBatch(keys, sel)
-}
-func (b bloomInner) SizeBits() uint64     { return b.f.SizeBits() }
-func (b bloomInner) FPR(n uint64) float64 { return b.f.FPR(n) }
-func (b bloomInner) Reset()               { b.f.Reset() }
-func (b bloomInner) String() string       { return b.f.Params().String() }
+// exactFactory builds exact shards: no false positives, so every
+// mismatch is a real merge bug, not filter noise.
+func exactFactory() (Inner, error) { return exact.New(1024), nil }
 
 func bloomFactory(mBits uint64) Factory {
 	return func() (Inner, error) {
-		f, err := blocked.New(blocked.CacheSectorizedParams(64, 512, 2, 8, true), mBits)
-		if err != nil {
-			return nil, err
-		}
-		return bloomInner{f}, nil
+		return blocked.New(blocked.CacheSectorizedParams(64, 512, 2, 8, true), mBits)
 	}
 }
 
@@ -514,7 +471,7 @@ func TestSnapshotRestore(t *testing.T) {
 		return out, nil
 	}
 	unmarshal := func(data []byte) (Inner, error) {
-		s := exactInner{s: exact.New(len(data) / 4)}
+		s := exact.New(len(data) / 4)
 		for i := 0; i+4 <= len(data); i += 4 {
 			k := Key(data[i]) | Key(data[i+1])<<8 | Key(data[i+2])<<16 | Key(data[i+3])<<24
 			if err := s.Insert(k); err != nil {
@@ -636,20 +593,6 @@ func TestInsertBatch(t *testing.T) {
 	}
 }
 
-// cuckooInner is a real cuckoo shard: once its table saturates, Insert
-// returns cuckoo.ErrFull.
-type cuckooInner struct{ *cuckoo.Filter }
-
-func (c cuckooInner) InsertBatch(keys []Key) (int, error) {
-	for i, k := range keys {
-		if err := c.Insert(k); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
-}
-func (c cuckooInner) String() string { return c.Params().String() }
-
 func TestInsertBatchStopsWhenFull(t *testing.T) {
 	const perShard = 100
 	for _, tc := range []struct {
@@ -657,13 +600,16 @@ func TestInsertBatchStopsWhenFull(t *testing.T) {
 		factory Factory
 	}{
 		{"fullAfter", func() (Inner, error) {
-			return &fullAfter{inner: exactInner{exact.New(1024)}, capacity: perShard}, nil
+			return &fullAfter{inner: exact.New(1024), capacity: perShard}, nil
 		}},
 		// 32 buckets of 4 8-bit tags hold about 120 keys, so each shard
 		// saturates partway through its ~225-key run.
 		{"cuckoo", func() (Inner, error) {
 			f, err := cuckoo.New(cuckoo.Params{TagBits: 8, BucketSize: 4}, perShard*8)
-			return cuckooInner{f}, err
+			if err != nil {
+				return nil, err
+			}
+			return f, nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

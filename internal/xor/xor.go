@@ -233,6 +233,14 @@ func (f *Filter) Insert(key Key) error {
 	return nil
 }
 
+// InsertBatch adds keys, one Insert per key; it never fails.
+func (f *Filter) InsertBatch(keys []Key) (int, error) {
+	for _, k := range keys {
+		f.Insert(k)
+	}
+	return len(keys), nil
+}
+
 // Seal solves the table from the buffered keys and enters the sealed
 // phase. Sealing an already-sealed filter is a no-op (the overflow buffer
 // cannot be folded into a solved table; a rebuild from the full key set —

@@ -41,7 +41,4 @@ func DefaultConfig(k Kind) Config {
 // KindMutable reports whether the family absorbs inserts in place; the
 // immutable xor/fuse family instead rebuilds from a key log (see
 // XorFilter and the adaptive wrapper's migration path).
-func KindMutable(k Kind) bool {
-	d := registry.Lookup(model.Kind(k))
-	return d == nil || d.Mutable
-}
+func KindMutable(k Kind) bool { return model.KindMutable(model.Kind(k)) }

@@ -272,12 +272,7 @@ func NewClassicBloom(k uint32, mBits uint64) (Filter, error) {
 // NewCuckoo returns a cuckoo filter with the given signature length and
 // bucket size. Use CuckooSizeForKeys to pick mBits for a planned key count.
 func NewCuckoo(tagBits, bucketSize uint32, mBits uint64) (*CuckooFilter, error) {
-	p := cuckoo.Params{TagBits: tagBits, BucketSize: bucketSize, Magic: true}
-	f, err := cuckoo.New(p, mBits)
-	if err != nil {
-		return nil, err
-	}
-	return &CuckooFilter{f}, nil
+	return cuckoo.New(cuckoo.Params{TagBits: tagBits, BucketSize: bucketSize, Magic: true}, mBits)
 }
 
 // CuckooSizeForKeys returns a size (bits) that fits n keys within the
@@ -289,7 +284,7 @@ func CuckooSizeForKeys(tagBits, bucketSize uint32, n uint64) uint64 {
 // NewExact returns an exact filter (Robin Hood hash set) for about
 // n keys; it can grow beyond that.
 func NewExact(n int) Filter {
-	return &exactAdapter{exact.New(n)}
+	return exact.New(n)
 }
 
 // BuildXor constructs a sealed xor/fuse filter directly from a key slice
@@ -298,65 +293,16 @@ func NewExact(n int) Filter {
 // (FPR 2^-w); fuse selects the binary-fuse layout (≈1.13·w instead of
 // ≈1.23·w bits/key, better probe locality).
 func BuildXor(keys []Key, fingerprintBits uint32, fuse bool) (*XorFilter, error) {
-	f, err := xor.Build(xor.Params{FingerprintBits: fingerprintBits, Fuse: fuse}, keys)
-	if err != nil {
-		return nil, err
-	}
-	return &XorFilter{f}, nil
+	return xor.Build(xor.Params{FingerprintBits: fingerprintBits, Fuse: fuse}, keys)
 }
 
 // CuckooFilter is the Filter implementation for cuckoo filters, exposing
-// the family's extra capabilities: deletion and duplicate (bag) support.
-type CuckooFilter struct {
-	f *cuckoo.Filter
-}
-
-// Insert implements Filter; it can return ErrFull.
-func (c *CuckooFilter) Insert(key Key) error { return c.f.Insert(key) }
-
-// InsertBatch implements Filter, one Insert per key; it stops at the
-// first ErrFull.
-func (c *CuckooFilter) InsertBatch(keys []Key) (int, error) {
-	for i, k := range keys {
-		if err := c.f.Insert(k); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
-}
-
-// Contains implements Filter.
-func (c *CuckooFilter) Contains(key Key) bool { return c.f.Contains(key) }
-
-// ContainsBatch implements Filter.
-func (c *CuckooFilter) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return c.f.ContainsBatch(keys, sel)
-}
-
-// Delete removes one occurrence of key. Only delete keys that were
-// inserted; deleting arbitrary keys can evict a colliding key's signature.
-func (c *CuckooFilter) Delete(key Key) bool { return c.f.Delete(key) }
-
-// LoadFactor returns the table occupancy.
-func (c *CuckooFilter) LoadFactor() float64 { return c.f.LoadFactor() }
-
-// Count returns the number of stored signatures.
-func (c *CuckooFilter) Count() uint64 { return c.f.Count() }
-
-// SizeBits implements Filter.
-func (c *CuckooFilter) SizeBits() uint64 { return c.f.SizeBits() }
-
-// FPR implements Filter.
-func (c *CuckooFilter) FPR(n uint64) float64 { return c.f.FPR(n) }
-
-// Reset implements Filter.
-func (c *CuckooFilter) Reset() { c.f.Reset() }
-
-// String implements Filter.
-func (c *CuckooFilter) String() string { return c.f.Params().String() }
-
-// StorageAligned reports whether the tag array is cache-line aligned.
-func (c *CuckooFilter) StorageAligned() bool { return c.f.StorageAligned() }
+// the family's extra capabilities: deletion (Delete removes one
+// occurrence of a key — only delete keys that were inserted; deleting
+// arbitrary keys can evict a colliding key's signature), duplicate (bag)
+// support, LoadFactor and Count. Insert and InsertBatch can return
+// ErrFull.
+type CuckooFilter = cuckoo.Filter
 
 // XorFilter is the Filter implementation for the immutable xor/fuse
 // family, exposing its build-once lifecycle: inserts buffer until Seal
@@ -368,138 +314,13 @@ func (c *CuckooFilter) StorageAligned() bool { return c.f.StorageAligned() }
 // in one step with BuildXor. Folding overflow keys into the table takes a
 // rebuild from the full key set — the adaptive wrapper's key-log
 // migration does exactly that.
-type XorFilter struct {
-	f *xor.Filter
-}
-
-// Insert implements Filter; it never fails (buffered pre-seal, overflow
-// post-seal).
-func (x *XorFilter) Insert(key Key) error { return x.f.Insert(key) }
-
-// InsertBatch implements Filter, one Insert per key.
-func (x *XorFilter) InsertBatch(keys []Key) (int, error) {
-	for i, k := range keys {
-		if err := x.f.Insert(k); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
-}
-
-// Contains implements Filter.
-func (x *XorFilter) Contains(key Key) bool { return x.f.Contains(key) }
-
-// ContainsBatch implements Filter.
-func (x *XorFilter) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return x.f.ContainsBatch(keys, sel)
-}
-
-// Seal solves the table from the buffered keys (idempotent once sealed).
-func (x *XorFilter) Seal() error { return x.f.Seal() }
-
-// Sealed reports whether the table has been solved.
-func (x *XorFilter) Sealed() bool { return x.f.Sealed() }
-
-// OverflowLen returns the number of post-seal keys awaiting a rebuild.
-func (x *XorFilter) OverflowLen() int { return x.f.OverflowLen() }
-
-// Count returns the number of keys the filter answers for.
-func (x *XorFilter) Count() uint64 { return x.f.Count() }
-
-// SizeBits implements Filter.
-func (x *XorFilter) SizeBits() uint64 { return x.f.SizeBits() }
-
-// FPR implements Filter (2^-w, independent of n).
-func (x *XorFilter) FPR(n uint64) float64 { return x.f.FPR(n) }
-
-// Reset implements Filter, returning to the empty building phase.
-func (x *XorFilter) Reset() { x.f.Reset() }
-
-// String implements Filter.
-func (x *XorFilter) String() string { return x.f.String() }
-
-// StorageAligned reports whether the fingerprint table is cache-line
-// aligned (vacuously true before Seal).
-func (x *XorFilter) StorageAligned() bool { return x.f.StorageAligned() }
-
-// blockedAdapter adapts blocked.Probe (whose Insert cannot fail).
-type blockedAdapter struct {
-	f blocked.Probe
-}
-
-func (a *blockedAdapter) Insert(key Key) error { a.f.Insert(key); return nil }
-func (a *blockedAdapter) InsertBatch(keys []Key) (int, error) {
-	a.f.InsertBatch(keys)
-	return len(keys), nil
-}
-func (a *blockedAdapter) Contains(key Key) bool {
-	return a.f.Contains(key)
-}
-func (a *blockedAdapter) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return a.f.ContainsBatch(keys, sel)
-}
-func (a *blockedAdapter) SizeBits() uint64     { return a.f.SizeBits() }
-func (a *blockedAdapter) FPR(n uint64) float64 { return a.f.FPR(n) }
-func (a *blockedAdapter) Reset()               { a.f.Reset() }
-func (a *blockedAdapter) String() string       { return a.f.Params().String() }
-func (a *blockedAdapter) StorageAligned() bool {
-	r, ok := a.f.(interface{ StorageAligned() bool })
-	return ok && r.StorageAligned()
-}
-
-type classicAdapter struct {
-	f *bloom.Filter
-}
-
-func (a *classicAdapter) Insert(key Key) error { a.f.Insert(key); return nil }
-func (a *classicAdapter) InsertBatch(keys []Key) (int, error) {
-	for _, k := range keys {
-		a.f.Insert(k)
-	}
-	return len(keys), nil
-}
-func (a *classicAdapter) Contains(key Key) bool {
-	return a.f.Contains(key)
-}
-func (a *classicAdapter) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return a.f.ContainsBatch(keys, sel)
-}
-func (a *classicAdapter) SizeBits() uint64     { return a.f.SizeBits() }
-func (a *classicAdapter) FPR(n uint64) float64 { return a.f.FPR(n) }
-func (a *classicAdapter) Reset()               { a.f.Reset() }
-func (a *classicAdapter) String() string       { return a.f.Params().String() }
-func (a *classicAdapter) StorageAligned() bool { return a.f.StorageAligned() }
-
-type exactAdapter struct {
-	s *exact.Set
-}
-
-func (a *exactAdapter) Insert(key Key) error {
-	a.s.Insert(key)
-	return nil
-}
-func (a *exactAdapter) InsertBatch(keys []Key) (int, error) {
-	for _, k := range keys {
-		a.s.Insert(k)
-	}
-	return len(keys), nil
-}
-func (a *exactAdapter) Contains(key Key) bool { return a.s.Contains(key) }
-func (a *exactAdapter) ContainsBatch(keys []Key, sel []uint32) []uint32 {
-	return a.s.ContainsBatch(keys, sel)
-}
-func (a *exactAdapter) SizeBits() uint64     { return a.s.SizeBits() }
-func (a *exactAdapter) FPR(n uint64) float64 { return 0 }
-func (a *exactAdapter) Reset()               { a.s.Reset() }
-func (a *exactAdapter) String() string       { return a.s.String() }
-func (a *exactAdapter) StorageAligned() bool { return a.s.StorageAligned() }
+type XorFilter = xor.Filter
 
 // compile-time interface checks
 var (
-	_ Filter           = (*blockedAdapter)(nil)
-	_ Filter           = (*classicAdapter)(nil)
+	_ Filter           = (*bloom.Filter)(nil)
 	_ Filter           = (*CuckooFilter)(nil)
 	_ Filter           = (*XorFilter)(nil)
-	_ Filter           = (*exactAdapter)(nil)
+	_ Filter           = (*exact.Set)(nil)
 	_ core.BatchProber = (Filter)(nil)
 )

@@ -1,10 +1,13 @@
 package perfilter
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"perfilter/internal/blocked"
+	"perfilter/internal/bloom"
 	"perfilter/internal/rng"
 )
 
@@ -169,6 +172,58 @@ func TestKindStrings(t *testing.T) {
 	} {
 		if k.String() != want {
 			t.Fatalf("Kind(%d) = %q", k, k.String())
+		}
+	}
+}
+
+// TestFilterStrings pins every kind's String() to the values captured
+// before the kernels took over the Filter contract; the blocked, classic
+// and cuckoo kernels render their Params.
+func TestFilterStrings(t *testing.T) {
+	build := func(k Kind) Filter {
+		f, err := New(DefaultConfig(k), 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	reg, _ := NewRegisterBlockedBloom(4, 1<<16)
+	plain, _ := New(Config{Kind: BlockedBloom, WordBits: 32, BlockBits: 256, SectorBits: 256, Groups: 1, K: 6}, 1<<16)
+	cf, _ := NewCuckoo(8, 4, 1<<16)
+	xf, _ := BuildXor([]Key{1, 2, 3}, 16, true)
+	ef := NewExact(10)
+	ef.Insert(1)
+	for _, c := range []struct {
+		f    Filter
+		want string
+	}{
+		{build(BlockedBloom), "bloom/cache-sectorized[B=512,S=64,z=2,k=8,magic]"},
+		{build(ClassicBloom), "bloom/classic[k=7,magic]"},
+		{build(Cuckoo), "cuckoo[l=16,b=2,magic]"},
+		{build(Xor), "xor8[building]"},
+		{build(Exact), "exact[n=0,slots=2048]"},
+		{reg, "bloom/register[B=64,k=4,magic]"},
+		{plain, "bloom/blocked[B=256,k=6,pow2]"},
+		{cf, "cuckoo[l=8,b=4,magic]"},
+		{xf, "fuse16"},
+		{ef, "exact[n=1,slots=16]"},
+	} {
+		if got := c.f.String(); got != c.want {
+			t.Errorf("%T: String() = %q, want %q", c.f, got, c.want)
+		}
+		var params fmt.Stringer
+		switch f := c.f.(type) {
+		case blocked.Probe:
+			params = f.Params()
+		case *bloom.Filter:
+			params = f.Params()
+		case *CuckooFilter:
+			params = f.Params()
+		default:
+			continue
+		}
+		if params.String() != c.want {
+			t.Errorf("%T: Params().String() = %q, want %q", c.f, params, c.want)
 		}
 	}
 }

@@ -19,12 +19,4 @@ var _ = registry.Register(registry.Descriptor{
 		}
 		return f, nil
 	},
-	Marshal: func(f registry.Filter) ([]byte, error) {
-		return f.(*Adaptive).marshalAdaptive()
-	},
-	Owns: func(f registry.Filter) bool {
-		_, ok := f.(*Adaptive)
-		return ok
-	},
-	Mutable: true,
 })

@@ -1,8 +1,6 @@
 package perfilter
 
 import (
-	"fmt"
-
 	"perfilter/internal/blocked"
 	"perfilter/internal/model"
 	"perfilter/internal/registry"
@@ -19,29 +17,9 @@ var _ = registry.Register(registry.Descriptor{
 	WireMagic: blocked.WireMagic,
 	Default:   model.Config{Kind: model.KindBlockedBloom, Bloom: blocked.DefaultParams()},
 	New: func(mc model.Config, mBits uint64) (registry.Filter, error) {
-		f, err := blocked.New(mc.Bloom, mBits)
-		if err != nil {
-			return nil, err
-		}
-		return &blockedAdapter{f}, nil
+		return blocked.New(mc.Bloom, mBits)
 	},
 	Decode: func(data []byte) (registry.Filter, error) {
-		f, err := blocked.Unmarshal(data)
-		if err != nil {
-			return nil, err
-		}
-		return &blockedAdapter{f}, nil
+		return blocked.Unmarshal(data)
 	},
-	Marshal: func(f registry.Filter) ([]byte, error) {
-		m, ok := f.(*blockedAdapter).f.(marshaler)
-		if !ok {
-			return nil, fmt.Errorf("perfilter: filter does not serialize")
-		}
-		return m.MarshalBinary()
-	},
-	Owns: func(f registry.Filter) bool {
-		_, ok := f.(*blockedAdapter)
-		return ok
-	},
-	Mutable: true,
 })

@@ -20,21 +20,13 @@ var _ = registry.Register(registry.Descriptor{
 		if err != nil {
 			return nil, err
 		}
-		return &classicAdapter{f}, nil
+		return f, nil
 	},
 	Decode: func(data []byte) (registry.Filter, error) {
 		f, err := bloom.Unmarshal(data)
 		if err != nil {
 			return nil, err
 		}
-		return &classicAdapter{f}, nil
+		return f, nil
 	},
-	Marshal: func(f registry.Filter) ([]byte, error) {
-		return f.(*classicAdapter).f.MarshalBinary()
-	},
-	Owns: func(f registry.Filter) bool {
-		_, ok := f.(*classicAdapter)
-		return ok
-	},
-	Mutable: true,
 })

@@ -20,21 +20,13 @@ var _ = registry.Register(registry.Descriptor{
 		if err != nil {
 			return nil, err
 		}
-		return &CuckooFilter{f}, nil
+		return f, nil
 	},
 	Decode: func(data []byte) (registry.Filter, error) {
 		f, err := cuckoo.Unmarshal(data)
 		if err != nil {
 			return nil, err
 		}
-		return &CuckooFilter{f}, nil
+		return f, nil
 	},
-	Marshal: func(f registry.Filter) ([]byte, error) {
-		return f.(*CuckooFilter).f.MarshalBinary()
-	},
-	Owns: func(f registry.Filter) bool {
-		_, ok := f.(*CuckooFilter)
-		return ok
-	},
-	Mutable: true,
 })

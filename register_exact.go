@@ -21,28 +21,20 @@ var _ = registry.Register(registry.Descriptor{
 		if capacity >= 1<<16 {
 			capacity /= 64
 		}
-		return &exactAdapter{exact.New(int(capacity))}, nil
+		return exact.New(int(capacity)), nil
 	},
 	NewShard: func(mc model.Config, perShardBits uint64) (registry.Filter, error) {
 		capacity := perShardBits / 64
 		if capacity == 0 {
 			capacity = 1
 		}
-		return &exactAdapter{exact.New(int(capacity))}, nil
+		return exact.New(int(capacity)), nil
 	},
 	Decode: func(data []byte) (registry.Filter, error) {
 		s, err := exact.Unmarshal(data)
 		if err != nil {
 			return nil, err
 		}
-		return &exactAdapter{s}, nil
+		return s, nil
 	},
-	Marshal: func(f registry.Filter) ([]byte, error) {
-		return f.(*exactAdapter).s.MarshalBinary()
-	},
-	Owns: func(f registry.Filter) bool {
-		_, ok := f.(*exactAdapter)
-		return ok
-	},
-	Mutable: true,
 })

@@ -20,12 +20,4 @@ var _ = registry.Register(registry.Descriptor{
 		}
 		return s, nil
 	},
-	Marshal: func(f registry.Filter) ([]byte, error) {
-		return f.(*Sharded).marshalEnvelope()
-	},
-	Owns: func(f registry.Filter) bool {
-		_, ok := f.(*Sharded)
-		return ok
-	},
-	Mutable: true,
 })

@@ -6,11 +6,12 @@ import (
 	"perfilter/internal/xor"
 )
 
-// The immutable xor/fuse family: build-once (Mutable false — the adaptive
-// control loop migrates back to a mutable family when writes resume) and
-// Sealable (the sharded wrapper solves staged shards after a rotation's
-// fill). The default is the 8-bit classic layout; no magic addressing —
-// the table is sized by key count, not by an addressable budget.
+// The immutable xor/fuse family: build-once (model.KindMutable is false —
+// the adaptive control loop migrates back to a mutable family when writes
+// resume) and a sharded.Sealer (the sharded wrapper solves staged shards
+// after a rotation's fill). The default is the 8-bit classic layout; no
+// magic addressing — the table is sized by key count, not by an
+// addressable budget.
 var _ = registry.Register(registry.Descriptor{
 	Kind:      model.KindXor,
 	Name:      "xor",
@@ -23,22 +24,13 @@ var _ = registry.Register(registry.Descriptor{
 		if err != nil {
 			return nil, err
 		}
-		return &XorFilter{f}, nil
+		return f, nil
 	},
 	Decode: func(data []byte) (registry.Filter, error) {
 		f, err := xor.Unmarshal(data)
 		if err != nil {
 			return nil, err
 		}
-		return &XorFilter{f}, nil
+		return f, nil
 	},
-	Marshal: func(f registry.Filter) ([]byte, error) {
-		return f.(*XorFilter).f.MarshalBinary()
-	},
-	Owns: func(f registry.Filter) bool {
-		_, ok := f.(*XorFilter)
-		return ok
-	},
-	Mutable:  false,
-	Sealable: true,
 })

@@ -49,23 +49,17 @@ const (
 	envShardLen = 8 + 4
 )
 
-// marshaler is the shape every serializable concrete filter exposes.
-type marshaler interface {
-	MarshalBinary() ([]byte, error)
-}
-
 // Marshal serializes a filter built by this package for network transfer
 // or persistence (e.g. the filter server's snapshots). Every kind
 // serializes: blocked/register-blocked/sectorized/cache-sectorized Bloom
 // (any blocked geometry), classic Bloom, cuckoo (victim slot included),
 // xor/fuse (sealed or still buffering), the exact set, the Sharded
 // concurrent wrapper (as an envelope of per-shard payloads) and the
-// Adaptive wrapper (counters and key log around a sharded envelope). The encoder
-// is the registered descriptor owning the filter's concrete type (see
-// internal/registry and the register_<family>.go files).
+// Adaptive wrapper (counters and key log around a sharded envelope). The
+// encoder is the filter's own MarshalBinary.
 func Marshal(f Filter) ([]byte, error) {
-	if d := registry.Owner(f); d != nil && d.Marshal != nil {
-		return d.Marshal(f)
+	if m, ok := f.(interface{ MarshalBinary() ([]byte, error) }); ok {
+		return m.MarshalBinary()
 	}
 	return nil, fmt.Errorf("perfilter: %T does not serialize", f)
 }
@@ -94,12 +88,12 @@ func Unmarshal(data []byte) (Filter, error) {
 	return f, nil
 }
 
-// marshalEnvelope serializes the sharded wrapper: a header carrying the
+// MarshalBinary serializes the sharded wrapper: a header carrying the
 // per-shard configuration (so rotation works after restore) followed by
 // each shard's own wire payload. The wrapper lock pins perShard to the
 // generation being snapshotted; the snapshot itself is taken under the
 // rotation lock, each shard under its read lock.
-func (s *Sharded) marshalEnvelope() ([]byte, error) {
+func (s *Sharded) MarshalBinary() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap, err := s.s.Snapshot(Marshal)
@@ -177,7 +171,7 @@ func UnmarshalSharded(data []byte) (*Sharded, error) {
 		BucketSize: le.Uint32(data[32:]),
 	}
 	if cfg.Kind == Xor {
-		// Reverse the slot reuse of marshalEnvelope.
+		// Reverse the slot reuse of MarshalBinary.
 		cfg.FingerprintBits, cfg.TagBits = cfg.TagBits, 0
 		cfg.Fuse = data[7] == 1
 	}
@@ -219,20 +213,18 @@ func UnmarshalSharded(data []byte) (*Sharded, error) {
 	if off != len(data) {
 		return nil, fmt.Errorf("perfilter: %d trailing bytes after sharded envelope", len(data)-off)
 	}
+	// A valid configuration names a registered family (the registry
+	// conformance suite covers every model kind).
+	wantMagic := registry.Lookup(model.Kind(cfg.Kind)).WireMagic
 	sh := &Sharded{cfg: cfg, perShard: perShard}
 	s, err := sharded.Restore(snap, func(payload []byte) (sharded.Inner, error) {
-		f, err := Unmarshal(payload)
-		if err != nil {
-			return nil, err
-		}
-		// The payload's own magic picked the decoder; it must agree with
+		// The payload's own magic picks the decoder; it must agree with
 		// the envelope's declared kind (a mismatch means a stitched or
 		// corrupted envelope).
-		d := registry.Lookup(model.Kind(cfg.Kind))
-		if d == nil || d.Owns == nil || !d.Owns(f) {
-			return nil, fmt.Errorf("perfilter: shard payload type %T does not match envelope kind %s", f, cfg.Kind)
+		if len(payload) >= 4 && le.Uint32(payload) != wantMagic {
+			return nil, fmt.Errorf("perfilter: shard payload magic %#08x does not match envelope kind %s", le.Uint32(payload), cfg.Kind)
 		}
-		return f, nil
+		return Unmarshal(payload)
 	}, factoryFor(cfg, perShard))
 	if err != nil {
 		return nil, err
@@ -241,15 +233,15 @@ func UnmarshalSharded(data []byte) (*Sharded, error) {
 	return sh, nil
 }
 
-// marshalAdaptive serializes the adaptive wrapper: the configured workload
+// MarshalBinary serializes the adaptive wrapper: the configured workload
 // hints, the tracked counters, the key log and the inner sharded envelope.
 // The inner envelope is captured first and the log after it, so the log is
 // always a superset of the envelope's keys (a writer appends to the log
 // before inserting) and the restored pair keeps the migration guarantee.
-func (a *Adaptive) marshalAdaptive() ([]byte, error) {
+func (a *Adaptive) MarshalBinary() ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	inner, err := a.s.marshalEnvelope()
+	inner, err := a.s.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package perfilter
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -277,6 +278,26 @@ func TestShardedEnvelopeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Unmarshal(append(bytes.Clone(data), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+	// A stitched envelope: the first shard's blocked payload swapped for
+	// a well-formed cuckoo payload. Each record decodes on its own, so
+	// only the envelope-kind check can refuse it.
+	cf, err := NewCuckoo(16, 2, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := Marshal(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	first := int(le.Uint32(data[envHeaderLen+8:]))
+	rest := data[envHeaderLen+envShardLen+first:]
+	stitched := bytes.Clone(data[:envHeaderLen+envShardLen])
+	le.PutUint32(stitched[envHeaderLen+8:], uint32(len(foreign)))
+	stitched = append(append(stitched, foreign...), rest...)
+	if _, err := Unmarshal(stitched); err == nil {
+		t.Fatal("envelope with a cuckoo shard inside a blocked envelope accepted")
 	}
 }
 
