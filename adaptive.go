@@ -21,7 +21,7 @@ var (
 	mEvaluations = obs.Default.Counter("perfilter_adaptive_evaluations_total",
 		"Re-optimization passes (Reoptimize calls), whatever their verdict.")
 	mRejections = obs.Default.Counter("perfilter_adaptive_rejections_total",
-		"Re-optimization passes that decided against migrating (hysteresis, cooldown, min inserts, already optimal).")
+		"Re-optimization passes that decided against migrating (hysteresis, min inserts, already optimal).")
 	mEmergencyGrows = obs.Default.Counter("perfilter_adaptive_emergency_grows_total",
 		"Emergency migrations triggered by a saturated (ErrFull) filter.")
 )
@@ -41,9 +41,6 @@ type AdaptiveOptions struct {
 	// tracked live and ignored here; Sigma is only the fallback until the
 	// first probes are observed.
 	Workload Workload
-	// Policy is the migration hysteresis rule (zero fields get defaults:
-	// 15% margin, 1024 min inserts).
-	Policy adaptive.Policy
 	// Shards is the sharded wrapper's partition count (<= 0 picks the host
 	// default, as NewSharded does).
 	Shards int
@@ -58,7 +55,6 @@ type AdaptiveOptions struct {
 }
 
 func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
-	o.Policy = o.Policy.WithDefaults()
 	if o.MaxDecisions == 0 {
 		o.MaxDecisions = 64
 	}
@@ -97,8 +93,7 @@ type Adaptive struct {
 	logComplete atomic.Bool
 
 	// mu serializes re-optimization, migration, rotation and reset.
-	mu            sync.Mutex
-	lastMigration time.Time
+	mu sync.Mutex
 	// trace is the fixed-size ring of re-optimization decisions (the
 	// control loop's flight recorder, capacity opts.MaxDecisions); it has
 	// its own lock so readers never contend with a migration.
@@ -292,9 +287,6 @@ func (a *Adaptive) Reset() {
 // String implements Filter.
 func (a *Adaptive) String() string { return "adaptive " + a.s.String() }
 
-// NumShards returns the partition count.
-func (a *Adaptive) NumShards() int { return a.s.NumShards() }
-
 // Count returns the number of successful inserts into the current
 // generation (after a migration: the deduplicated key count plus racing
 // dual-writes — the live n estimate the control loop advises against).
@@ -306,10 +298,6 @@ func (a *Adaptive) Generation() uint64 { return a.s.Generation() }
 // Stats snapshots shard occupancy (the workload counters are returned by
 // Counters).
 func (a *Adaptive) Stats() ShardStats { return a.s.Stats() }
-
-// StorageAligned reports whether every shard's word storage is
-// cache-line aligned.
-func (a *Adaptive) StorageAligned() bool { return a.s.StorageAligned() }
 
 // Counters returns a snapshot of the tracked workload.
 func (a *Adaptive) Counters() adaptive.Counters { return a.stats.Snapshot() }
@@ -433,12 +421,12 @@ func (a *Adaptive) Advice() (AdaptiveAdvice, error) { return a.AdviceTw(0) }
 // saved this much?".
 func (a *Adaptive) AdviceTw(tw float64) (AdaptiveAdvice, error) {
 	a.mu.Lock()
-	lastMigration, baseline := a.lastMigration, a.baseline
+	baseline := a.baseline
 	a.mu.Unlock()
-	return a.adviceAt(lastMigration, baseline, tw)
+	return a.adviceAt(baseline, tw)
 }
 
-func (a *Adaptive) adviceAt(lastMigration time.Time, baseline adaptive.Counters, tw float64) (AdaptiveAdvice, error) {
+func (a *Adaptive) adviceAt(baseline adaptive.Counters, tw float64) (AdaptiveAdvice, error) {
 	w := a.workload(baseline)
 	if tw > 0 {
 		w.Tw = tw
@@ -460,14 +448,9 @@ func (a *Adaptive) adviceAt(lastMigration time.Time, baseline adaptive.Counters,
 		Best:       best,
 		KindChange: best.Config.Kind != cur.Config.Kind,
 	}
-	sinceLast := time.Duration(-1)
-	if !lastMigration.IsZero() {
-		sinceLast = time.Since(lastMigration)
-	}
-	ok, reason := a.opts.Policy.ShouldMigrate(cur.Overhead, best.Overhead, adv.Counters.Inserts, sinceLast)
+	ok, reason := adaptive.ShouldMigrate(cur.Overhead, best.Overhead, adv.Counters.Inserts)
 	if !ok && !KindMutable(cur.Config.Kind) && !w.ReadMostly && KindMutable(best.Config.Kind) &&
-		adv.Window.Inserts >= a.opts.Policy.MinInserts &&
-		a.opts.Policy.CooldownCleared(sinceLast) {
+		adv.Window.Inserts >= adaptive.MinInserts {
 		// Writes resumed on an immutable filter: the deployed build-once
 		// table cannot absorb them (they pile up in overflow buffers and
 		// the key log), so move back to a mutable family even when the
@@ -512,13 +495,13 @@ func (a *Adaptive) Reoptimize(ctx context.Context, force bool, admit func(mBits 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	mEvaluations.Inc()
-	adv, err := a.adviceAt(a.lastMigration, a.baseline, 0)
+	adv, err := a.adviceAt(a.baseline, 0)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return adaptive.Decision{}, AdaptiveAdvice{}, err
 	}
 	d := newDecision(adv.Workload.N, adv.Current.Config, adv.Best.Config, adv.Best.MBits, adv.Reason)
-	d.Sigma, d.Window, d.Margin = adv.Workload.Sigma, adv.Window, a.opts.Policy.Margin
+	d.Sigma, d.Window, d.Margin = adv.Workload.Sigma, adv.Window, adaptive.Margin
 	d.CurrentRho, d.BestRho = adv.Current.Overhead, adv.Best.Overhead
 	migrate := adv.WouldMigrate
 	if force && !migrate {
@@ -544,7 +527,6 @@ func (a *Adaptive) Reoptimize(ctx context.Context, force bool, admit func(mBits 
 		sp.SetAttr("error", err.Error())
 	default:
 		d.Migrated = true
-		a.lastMigration = d.At
 	}
 	sp.SetAttr("n", adv.Workload.N)
 	sp.SetAttr("sigma", adv.Workload.Sigma)
@@ -645,13 +627,12 @@ func newDecision(n uint64, cur, best Config, bestMBits uint64, reason string) ad
 }
 
 // migrateAs migrates to cfg/mBits and records d as the completed
-// migration, restarting the policy's cooldown from it. Callers hold mu.
+// migration. Callers hold mu.
 func (a *Adaptive) migrateAs(ctx context.Context, cfg Config, mBits uint64, d adaptive.Decision) error {
 	if err := a.migrateLocked(ctx, cfg, mBits); err != nil {
 		return err
 	}
 	d.Migrated = true
-	a.lastMigration = d.At
 	a.trace.Add(d)
 	return nil
 }

@@ -1,7 +1,10 @@
 // filter-bench runs the measured experiments on the host: Figure 5
 // (sectorization throughput), Figure 9 (magic vs power-of-two sizing),
 // Figure 14 (lookup scaling across filter sizes), Figure 15 (batch-kernel
-// speedups), Figure 3 (the overhead curve) and the bucket-size ablation.
+// speedups), Figure 3 (the overhead curve) and the bucket-size ablation,
+// plus -fig xor (xor/fuse build and probe cost against the Bloom baseline)
+// and -fig kernels (the sharded probe with its worker pool on and off,
+// and the cache-sectorized probe kernel alone).
 //
 // -parallel N switches to the concurrency experiment beyond the paper:
 // aggregate insert and batched-probe throughput (keys/s) across 1..N
@@ -16,14 +19,12 @@
 // -json FILE additionally writes the run as a machine-readable
 // BENCH_*.json summary (series + headline-config FPR), which CI archives
 // as an artifact so throughput trajectories survive across commits.
+// -baseline FILE compares the run's series against a prior BENCH_*.json
+// and exits non-zero on a large throughput regression.
 //
 // Usage:
 //
-//	filter-bench [-fig 3|5|9|14|15|<family>|ablation] [-quick] [-size MiB] [-json BENCH_fig14.json]
-//
-// Family tokens (today: xor) come from the filter registry: a -fig value
-// naming a registered constructible kind with a runner in familyFigs runs
-// that family's measured experiment.
+//	filter-bench [-fig 3|5|9|14|15|kernels|xor|ablation] [-quick] [-size MiB] [-json BENCH_fig14.json] [-baseline BENCH_kernels.json]
 //
 //	filter-bench -parallel N [-shards P] [-quick] [-size MiB] [-json BENCH_parallel.json]
 //	filter-bench -adaptive [-tw cycles] [-quick] [-json BENCH_adaptive.json]
@@ -33,54 +34,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"perfilter"
 	"perfilter/internal/bench"
 	"perfilter/internal/blocked"
 	"perfilter/internal/core"
 	"perfilter/internal/model"
 )
 
-// familyFigs maps a filter-family name to its measured family experiment.
-// The accepted tokens are the intersection of this map with the filter
-// registry's constructible kinds, so a family renamed or removed from the
-// registry drops out of the -fig vocabulary without touching this file,
-// and registering a new family with a runner here adds its token.
-var familyFigs = map[string]struct {
-	header string
-	run    func(bench.Effort) []bench.Series
-}{
-	"xor": {
-		header: "# Xor/fuse family: build (solve) throughput and probe cost vs the Bloom baseline",
-		run:    bench.XorThroughput,
-	},
-}
-
-// figTokens enumerates the accepted -fig values: the numbered figures,
-// the registry-derived family experiments, and the ablation.
-func figTokens() []string {
-	toks := []string{"3", "5", "9", "14", "15", "kernels"}
-	for _, name := range perfilter.KindNames() {
-		if _, ok := familyFigs[name]; ok {
-			toks = append(toks, name)
-		}
-	}
-	return append(toks, "ablation")
-}
-
-// familyFig resolves a -fig token to a family experiment, requiring the
-// token to name a registered constructible kind.
-func familyFig(tok string) (header string, run func(bench.Effort) []bench.Series, ok bool) {
-	if _, registered := perfilter.KindByName(tok); !registered || tok == "" {
-		return "", nil, false
-	}
-	e, ok := familyFigs[tok]
-	return e.header, e.run, ok
-}
+// figTokens lists the accepted -fig values for the usage and error text.
+const figTokens = "3, 5, 9, 14, 15, kernels, xor, ablation"
 
 func main() {
-	fig := flag.String("fig", "14", "experiment: "+strings.Join(figTokens(), ", "))
+	fig := flag.String("fig", "14", "experiment: "+figTokens)
 	quick := flag.Bool("quick", false, "short measurements (noisier)")
 	sizeMiB := flag.Uint64("size", 256, "large-filter size in MiB (figures 5, 9 and -parallel)")
 	parallel := flag.Int("parallel", 0, "run the parallel-throughput experiment across 1..N goroutines")
@@ -163,24 +128,21 @@ func main() {
 			fmt.Println("# Hot-path kernels: sharded batched probe, persistent worker pool on vs off")
 			pool := bench.KernelsPool(*shards, bigBits, eff)
 			fmt.Print(bench.Format(pool))
-			fmt.Println("# Cache-sectorized probe, aligned vs misaligned word storage (x = log2 filter bits)")
-			align := bench.KernelsAlignment(eff)
-			fmt.Print(bench.Format(align))
-			series = append(append(series, pool...), align...)
+			fmt.Println("# Cache-sectorized probe kernel (x = log2 filter bits)")
+			probe := bench.KernelsProbe(eff)
+			fmt.Print(bench.Format(probe))
+			series = append(append(series, pool...), probe...)
 		case "ablation":
 			fmt.Println("# Ablation: cuckoo bucket size at tw=2^14 (the b=2 finding, §6)")
 			series = []bench.Series{bench.AblationCuckooBucket(1<<14, eff)}
 			fmt.Print(bench.Format(series))
-		default:
-			header, run, ok := familyFig(*fig)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "filter-bench: unknown experiment %q (accepted: %s)\n",
-					*fig, strings.Join(figTokens(), ", "))
-				os.Exit(1)
-			}
-			fmt.Println(header)
-			series = run(eff)
+		case "xor":
+			fmt.Println("# Xor/fuse family: build (solve) throughput and probe cost vs the Bloom baseline")
+			series = bench.XorThroughput(eff)
 			fmt.Print(bench.Format(series))
+		default:
+			fmt.Fprintf(os.Stderr, "filter-bench: unknown experiment %q (accepted: %s)\n", *fig, figTokens)
+			os.Exit(1)
 		}
 	}
 

@@ -7,61 +7,22 @@
 //
 // Usage:
 //
-//	filter-fpr [-fig 4|4k|7|8|<family>]
-//
-// Family tokens (today: xor) come from the filter registry: a -fig value
-// naming a registered constructible kind with a runner in familyFigs
-// prints that family's measured-vs-modeled table.
+//	filter-fpr [-fig 4|4k|7|8|xor]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"perfilter"
 	"perfilter/internal/bench"
 )
 
-// familyFigs maps a filter-family name to its measured FPR experiment.
-// Accepted tokens are the intersection of this map with the filter
-// registry's constructible kinds, so the -fig vocabulary tracks the
-// registry rather than a hand-maintained list.
-var familyFigs = map[string]struct {
-	header string
-	run    func() string
-}{
-	"xor": {
-		header: "# Measured vs modeled FPR, all families (100k keys, disjoint probes)",
-		run:    func() string { return bench.FormatMeasuredFPR(bench.MeasuredFPRRows(100_000)) },
-	},
-}
-
-// figTokens enumerates the accepted -fig values: the analytic tables plus
-// the registry-derived family experiments.
-func figTokens() []string {
-	toks := []string{"4", "4k", "7", "8"}
-	for _, name := range perfilter.KindNames() {
-		if _, ok := familyFigs[name]; ok {
-			toks = append(toks, name)
-		}
-	}
-	return toks
-}
-
-// familyFig resolves a -fig token to a family experiment, requiring the
-// token to name a registered constructible kind.
-func familyFig(tok string) (header string, run func() string, ok bool) {
-	if _, registered := perfilter.KindByName(tok); !registered || tok == "" {
-		return "", nil, false
-	}
-	e, ok := familyFigs[tok]
-	return e.header, e.run, ok
-}
+// figTokens lists the accepted -fig values for the usage and error text.
+const figTokens = "4, 4k, 7, 8, xor"
 
 func main() {
-	fig := flag.String("fig", "4", "table to print: "+strings.Join(figTokens(), ", "))
+	fig := flag.String("fig", "4", "table to print: "+figTokens)
 	flag.Parse()
 
 	switch *fig {
@@ -77,14 +38,11 @@ func main() {
 	case "8":
 		fmt.Println("# Figure 8: cuckoo filter FPR by signature length and bucket size")
 		fmt.Print(bench.Format(bench.Fig8CuckooFPR()))
+	case "xor":
+		fmt.Println("# Measured vs modeled FPR, all families (100k keys, disjoint probes)")
+		fmt.Print(bench.FormatMeasuredFPR(bench.MeasuredFPRRows(100_000)))
 	default:
-		header, run, ok := familyFig(*fig)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "filter-fpr: unknown figure %q (accepted: %s)\n",
-				*fig, strings.Join(figTokens(), ", "))
-			os.Exit(1)
-		}
-		fmt.Println(header)
-		fmt.Print(run())
+		fmt.Fprintf(os.Stderr, "filter-fpr: unknown figure %q (accepted: %s)\n", *fig, figTokens)
+		os.Exit(1)
 	}
 }

@@ -140,10 +140,6 @@ func (s *Sharded) Generation() uint64 { return s.s.Generation() }
 // Stats snapshots shard occupancy and rotation state.
 func (s *Sharded) Stats() ShardStats { return s.s.Stats() }
 
-// StorageAligned reports whether every shard's word storage is
-// cache-line aligned (always true for filters built by NewSharded).
-func (s *Sharded) StorageAligned() bool { return s.s.StorageAligned() }
-
 // Close releases the filter's persistent batch-gather workers (see
 // internal/sharded). The filter remains fully usable afterwards — large
 // batches just run on their caller's goroutine. Optional: a finalizer

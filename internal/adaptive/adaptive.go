@@ -118,60 +118,35 @@ func (c Counters) Sigma(fallback float64) float64 {
 	return float64(c.Positives) / float64(c.Probes)
 }
 
-// Policy is the hysteresis rule deciding when a re-advised configuration
-// justifies a live migration. Migration is not free (the key log is
-// replayed into a staged generation), so the modeled win must clear a
-// margin before the control loop acts, and a minimum of observed work
-// must have accumulated so one early probe burst cannot thrash the filter.
-type Policy struct {
+// The hysteresis rule deciding when a re-advised configuration justifies a
+// live migration. Migration is not free (the key log is replayed into a
+// staged generation), so the modeled win must clear a margin before the
+// control loop acts, and a minimum of observed work must have accumulated
+// so one early probe burst cannot thrash the filter.
+const (
 	// Margin is the fractional ρ improvement required to migrate: the
-	// candidate must satisfy ρ_new < (1−Margin)·ρ_cur. Default 0.15.
-	Margin float64
+	// candidate must satisfy ρ_new < (1−Margin)·ρ_cur.
+	Margin = 0.15
 	// MinInserts gates migration until the filter has seen at least this
-	// many inserts. Default 1024.
-	MinInserts uint64
-	// Cooldown is the minimum time between two migrations. Default 0 (the
-	// caller's re-advise pace already limits the loop).
-	Cooldown time.Duration
-}
-
-// WithDefaults fills zero fields with the defaults above.
-func (p Policy) WithDefaults() Policy {
-	if p.Margin == 0 {
-		p.Margin = 0.15
-	}
-	if p.MinInserts == 0 {
-		p.MinInserts = 1024
-	}
-	return p
-}
-
-// CooldownCleared reports whether the cooldown gate permits a migration:
-// no cooldown configured, no migration history (sinceLast < 0), or
-// enough time elapsed. The writes-resumed override in the root package
-// shares this gate, so the convention lives in exactly one place.
-func (p Policy) CooldownCleared(sinceLast time.Duration) bool {
-	return p.Cooldown <= 0 || sinceLast < 0 || sinceLast >= p.Cooldown
-}
+	// many inserts.
+	MinInserts = 1024
+)
 
 // ShouldMigrate applies the hysteresis rule to a modeled comparison and
 // returns the verdict with a human-readable reason (surfaced through the
 // server's advice endpoint and the bench's decision records).
-func (p Policy) ShouldMigrate(curRho, bestRho float64, inserts uint64, sinceLast time.Duration) (bool, string) {
-	if inserts < p.MinInserts {
-		return false, fmt.Sprintf("only %d inserts observed (min %d)", inserts, p.MinInserts)
-	}
-	if !p.CooldownCleared(sinceLast) {
-		return false, fmt.Sprintf("cooling down (%s of %s)", sinceLast.Round(time.Millisecond), p.Cooldown)
+func ShouldMigrate(curRho, bestRho float64, inserts uint64) (bool, string) {
+	if inserts < MinInserts {
+		return false, fmt.Sprintf("only %d inserts observed (min %d)", inserts, MinInserts)
 	}
 	if curRho <= 0 {
 		return false, "current overhead not modeled"
 	}
 	improvement := 1 - bestRho/curRho
-	if improvement < p.Margin {
-		return false, fmt.Sprintf("improvement %.1f%% below margin %.1f%%", improvement*100, p.Margin*100)
+	if improvement < Margin {
+		return false, fmt.Sprintf("improvement %.1f%% below margin %.1f%%", improvement*100, Margin*100)
 	}
-	return true, fmt.Sprintf("improvement %.1f%% clears margin %.1f%%", improvement*100, p.Margin*100)
+	return true, fmt.Sprintf("improvement %.1f%% clears margin %.1f%%", improvement*100, Margin*100)
 }
 
 // Decision records one re-optimization pass: what the tracker saw, what

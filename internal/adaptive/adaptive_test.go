@@ -3,7 +3,6 @@ package adaptive
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"perfilter/internal/core"
 )
@@ -35,33 +34,17 @@ func TestStatsSnapshotAndSigma(t *testing.T) {
 }
 
 func TestPolicyHysteresis(t *testing.T) {
-	p := Policy{}.WithDefaults()
-	if p.Margin != 0.15 || p.MinInserts != 1024 {
-		t.Fatalf("defaults = %+v", p)
-	}
 	// Below the insert floor: never migrate, however large the win.
-	if ok, _ := p.ShouldMigrate(100, 1, 10, -1); ok {
+	if ok, _ := ShouldMigrate(100, 1, MinInserts-1); ok {
 		t.Fatal("migrated below MinInserts")
 	}
 	// Improvement below the margin: hold.
-	if ok, reason := p.ShouldMigrate(100, 90, 5000, -1); ok {
+	if ok, reason := ShouldMigrate(100, 90, 5000); ok {
 		t.Fatalf("migrated on a 10%% win (margin 15%%): %s", reason)
 	}
 	// Clear improvement: go.
-	if ok, reason := p.ShouldMigrate(100, 50, 5000, -1); !ok {
+	if ok, reason := ShouldMigrate(100, 50, 5000); !ok {
 		t.Fatalf("refused a 50%% win: %s", reason)
-	}
-	// Cooldown gates a migration that would otherwise fire.
-	p.Cooldown = time.Hour
-	if ok, _ := p.ShouldMigrate(100, 50, 5000, time.Minute); ok {
-		t.Fatal("migrated inside the cooldown")
-	}
-	if ok, _ := p.ShouldMigrate(100, 50, 5000, 2*time.Hour); !ok {
-		t.Fatal("refused after the cooldown elapsed")
-	}
-	// Unknown history (sinceLast < 0) means no cooldown applies.
-	if ok, _ := p.ShouldMigrate(100, 50, 5000, -1); !ok {
-		t.Fatal("refused with no migration history")
 	}
 }
 

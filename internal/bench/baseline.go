@@ -10,7 +10,7 @@ import (
 // RegressionTolerance is the fraction of baseline throughput a series may
 // lose before the comparison fails: 25%, loose enough to absorb shared-CI
 // noise but tight enough to catch a disabled fast path (a dead worker
-// pool or a lost alignment guarantee costs far more than this).
+// pool costs far more than this).
 const RegressionTolerance = 0.25
 
 // BaselineDelta is one series' comparison against the baseline run.

@@ -10,9 +10,8 @@ import (
 	"perfilter/internal/rng"
 )
 
-// The kernels experiment records the two hot-path mechanisms this library
-// adds beneath the paper's cost model, so CI can catch a regression in
-// either:
+// The kernels experiment records two hot-path measurements, so CI can
+// catch a regression in either:
 //
 //   - pool-on / pool-off: batched probe throughput of the sharded filter
 //     with its persistent gather workers enabled vs every batch running on
@@ -21,12 +20,10 @@ import (
 //     pool only engages at parallelBatchMin); above it the pooled series
 //     shows what the persistent workers buy on this host.
 //
-//   - aligned / misaligned: the cache-sectorized probe kernel on word
-//     storage starting exactly at a cache-line boundary vs storage
-//     deliberately offset one word past it, across filter sizes from
-//     L1-resident to DRAM. Misalignment makes some blocks straddle two
-//     lines, breaking the one-memory-access-per-probe property (§3), so
-//     the aligned series is the guarantee the mem allocator exists to keep.
+//   - aligned: batched probe throughput of the cache-sectorized kernel
+//     alone, across filter sizes from L1-resident to DRAM. The series is
+//     named aligned because the committed BENCH_kernels.json baseline
+//     gates it under that name.
 
 // measureBatches probes f with fresh pseudo-random batches of batchLen
 // keys until the deadline and returns millions of keys per second.
@@ -99,48 +96,24 @@ func KernelsPool(shards int, mBits uint64, eff Effort) []Series {
 	return []Series{on, off}
 }
 
-// KernelsAlignment measures the cache-sectorized probe kernel (Mkeys/s,
-// batches of core.DefaultBatch) on aligned vs deliberately misaligned
-// word storage across filter sizes.
-func KernelsAlignment(eff Effort) []Series {
-	sizes := []uint64{1 << 17, 1 << 23, 1 << 26}
+// KernelsProbe measures the cache-sectorized probe kernel (Mkeys/s,
+// batches of core.DefaultBatch) across filter sizes.
+func KernelsProbe(eff Effort) []Series {
 	aligned := Series{Name: "aligned", XLabel: "log2(m)", YLabel: "Mkeys/s"}
-	misaligned := Series{Name: "misaligned", XLabel: "log2(m)", YLabel: "Mkeys/s"}
-	for _, mBits := range sizes {
-		for _, mis := range []bool{false, true} {
-			var f blocked.Probe
-			var err error
-			if mis {
-				f, err = blocked.NewMisaligned(headlineParams(), mBits)
-			} else {
-				f, err = blocked.New(headlineParams(), mBits)
-			}
-			if err != nil {
-				panic(err)
-			}
-			n := int(mBits / 12)
-			if n > maxFill {
-				n = maxFill
-			}
-			fill(func(k core.Key) bool { f.Insert(k); return true }, n, 0xF11)
-			y := measureBatches(f.ContainsBatch, core.DefaultBatch, eff.MinTime)
-			x := float64(log2(mBits))
-			if mis {
-				misaligned.X = append(misaligned.X, x)
-				misaligned.Y = append(misaligned.Y, y)
-			} else {
-				aligned.X = append(aligned.X, x)
-				aligned.Y = append(aligned.Y, y)
-			}
+	for _, mBits := range []uint64{1 << 17, 1 << 23, 1 << 26} {
+		f, err := blocked.New(headlineParams(), mBits)
+		if err != nil {
+			panic(err)
 		}
+		n := int(mBits / 12)
+		if n > maxFill {
+			n = maxFill
+		}
+		fill(func(k core.Key) bool { f.Insert(k); return true }, n, 0xF11)
+		aligned.X = append(aligned.X, float64(log2(mBits)))
+		aligned.Y = append(aligned.Y, measureBatches(f.ContainsBatch, core.DefaultBatch, eff.MinTime))
 	}
-	return []Series{aligned, misaligned}
-}
-
-// Kernels runs both hot-path sub-experiments (see the package comment
-// above) and returns their four series.
-func Kernels(shards int, mBits uint64, eff Effort) []Series {
-	return append(KernelsPool(shards, mBits, eff), KernelsAlignment(eff)...)
+	return []Series{aligned}
 }
 
 // log2 returns floor(log2(x)) for x > 0.

@@ -30,9 +30,6 @@ type Probe interface {
 	Params() Params
 	// PopCount returns the number of set bits (for load diagnostics).
 	PopCount() uint64
-	// StorageAligned reports whether the word array starts on a
-	// cache-line boundary.
-	StorageAligned() bool
 	// MarshalBinary encodes the filter in its wire format.
 	MarshalBinary() ([]byte, error)
 }
@@ -151,37 +148,9 @@ func newFilter[W Word](p Params, mBits uint64) (*Filter[W], error) {
 		f.numBlocks = uint32(pow)
 		f.blockMask = uint32(pow) - 1
 	}
-	// Cache-line-aligned storage: blocks are sized in cache-line
-	// multiples (or even fractions), so with element 0 on a 64-byte
-	// boundary no block straddles a line — the single-access probe cost
-	// the paper's layout assumes.
-	f.words = mem.Aligned[W](int(uint64(f.numBlocks) * uint64(f.wordsPerBlock)))
+	f.words = mem.Make[W](int(uint64(f.numBlocks) * uint64(f.wordsPerBlock)))
 	return f, nil
 }
-
-// NewMisaligned is New with the storage alignment guarantee deliberately
-// broken (element 0 sits one word past a cache-line boundary, so
-// line-sized blocks straddle two lines). It exists solely as the control
-// arm of the aligned-vs-misaligned benchmark in internal/bench; no
-// production caller should use it.
-func NewMisaligned(p Params, mBits uint64) (Probe, error) {
-	pr, err := New(p, mBits)
-	if err != nil {
-		return nil, err
-	}
-	switch f := pr.(type) {
-	case *Filter[uint32]:
-		f.words = mem.Misaligned[uint32](len(f.words))
-	case *Filter[uint64]:
-		f.words = mem.Misaligned[uint64](len(f.words))
-	}
-	return pr, nil
-}
-
-// StorageAligned reports whether the word array starts on a cache-line
-// boundary (always true for filters from New; false only for
-// NewMisaligned's benchmark control).
-func (f *Filter[W]) StorageAligned() bool { return mem.IsAligned(f.words) }
 
 // blockIndex consumes 32 hash bits and maps them onto [0, numBlocks).
 // Power-of-two and magic addressing consume the same number of bits so the
@@ -251,29 +220,6 @@ func (f *Filter[W]) planBlockIndex(hw *[6]uint64) uint32 {
 		return f.dv.Mod(h)
 	}
 	return h & f.blockMask
-}
-
-// planGroupMask evaluates one group's planned draws: the selected sector
-// and the k/z-bit sector-relative search mask (valid when S ≤ W).
-func (f *Filter[W]) planGroupMask(hw *[6]uint64, g uint32) (sector uint32, mask W) {
-	sl := f.secLoc[g]
-	sector = uint32(hw[sl.word]>>sl.shift) & f.groupMask
-	wb := f.wordBits - 1
-	fi := uint32(0)
-	for c := uint32(0); c < f.chunksPerGroup; c++ {
-		cl := f.chunkLoc[g][c]
-		chunk := uint32(hw[cl.word]>>cl.shift) & f.chunkMask
-		top := f.fieldsPerChunk
-		if rem := f.kPerGroup - fi; top > rem {
-			top = rem
-		}
-		for j := uint32(0); j < top; j++ {
-			pos := chunk >> ((f.fieldsPerChunk - 1 - j) * f.log2Sector) & f.sectorMask
-			mask |= W(1) << (pos & wb)
-		}
-		fi += top
-	}
-	return sector, mask
 }
 
 // planGroupPositions evaluates one group's planned draws into sector-

@@ -93,13 +93,9 @@ func New(p Params, mBits uint64) (*Filter, error) {
 		f.mBits = uint32(pow)
 		f.bitMask = uint32(pow) - 1
 	}
-	f.words = mem.Aligned[uint64](int((uint64(f.mBits) + 63) / 64))
+	f.words = mem.Make[uint64](int((uint64(f.mBits) + 63) / 64))
 	return f, nil
 }
-
-// StorageAligned reports whether the word array starts on a cache-line
-// boundary (always true for filters from New).
-func (f *Filter) StorageAligned() bool { return mem.IsAligned(f.words) }
 
 // bitPos consumes 32 hash bits and maps them to a bit position.
 func (f *Filter) bitPos(s *hashing.Sink) uint32 {

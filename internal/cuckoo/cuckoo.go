@@ -153,7 +153,7 @@ func New(p Params, mBits uint64) (*Filter, error) {
 		f.bucketMask = uint32(pow) - 1
 	}
 	totalBits := uint64(f.numBuckets) * uint64(f.bucketBits)
-	f.words = mem.Aligned[uint64](int((totalBits+63)/64 + 1)) // +1: straddle-free tail reads
+	f.words = mem.Make[uint64](int((totalBits+63)/64 + 1)) // +1: straddle-free tail reads
 	f.kickRNG = *rng.NewSplitMix64(kickSeed)
 	return f, nil
 }
@@ -387,10 +387,6 @@ func (f *Filter) String() string { return f.params.String() }
 
 // FPR returns the analytic false-positive rate (Eq. 8) with n keys stored.
 func (f *Filter) FPR(n uint64) float64 { return f.params.FPR(f.SizeBits(), n) }
-
-// StorageAligned reports whether the tag array starts on a cache-line
-// boundary (always true for filters from New).
-func (f *Filter) StorageAligned() bool { return mem.IsAligned(f.words) }
 
 // Reset clears the filter, including the kick-loop RNG state, so the
 // reset filter behaves identically to a freshly constructed one: the same

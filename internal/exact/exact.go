@@ -45,12 +45,8 @@ func New(capacity int) *Set {
 	for float64(size)*maxLoad < float64(capacity) {
 		size <<= 1
 	}
-	return &Set{slots: mem.Aligned[slot](int(size)), mask: size - 1}
+	return &Set{slots: mem.Make[slot](int(size)), mask: size - 1}
 }
-
-// StorageAligned reports whether the slot array starts on a cache-line
-// boundary (always true for sets from New).
-func (s *Set) StorageAligned() bool { return mem.IsAligned(s.slots) }
 
 // home returns the key's preferred slot (multiplicative hashing, top bits).
 func (s *Set) home(key core.Key) uint32 {
@@ -191,7 +187,7 @@ func (s *Set) Reset() {
 // grow doubles the table and reinserts all entries.
 func (s *Set) grow() {
 	old := s.slots
-	s.slots = mem.Aligned[slot](2 * len(old))
+	s.slots = mem.Make[slot](2 * len(old))
 	s.mask = uint32(len(s.slots)) - 1
 	s.count = 0
 	for _, sl := range old {

@@ -63,7 +63,7 @@ func Unmarshal(data []byte) (*Set, error) {
 	if count > size {
 		return nil, fmt.Errorf("exact: count %d exceeds %d slots", count, size)
 	}
-	s := &Set{slots: mem.Aligned[slot](int(size)), mask: size - 1, count: int(count)}
+	s := &Set{slots: mem.Make[slot](int(size)), mask: size - 1, count: int(count)}
 	occupied := uint32(0)
 	for i := range s.slots {
 		sl := slot{

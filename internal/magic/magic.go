@@ -107,10 +107,6 @@ func (v Divider) D() uint32 { return v.d }
 // NeedsAdd reports whether the divider is class (i) (multiply-shift-add).
 func (v Divider) NeedsAdd() bool { return v.add }
 
-// Magic returns the magic multiplier and shift (for documentation and
-// serialization of calibration results).
-func (v Divider) Magic() (m, s uint32) { return v.m, v.s }
-
 // Div returns n / d.
 func (v Divider) Div(n uint32) uint32 {
 	if v.d == 1 {

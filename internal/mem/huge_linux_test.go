@@ -69,33 +69,24 @@ func smaps(t *testing.T, lo, hi uintptr) []mapping {
 	return out
 }
 
-// allocators are the storage constructors that advise huge pages: real
-// storage and the misaligned benchmark control arm alike.
-var allocators = map[string]func(int) []uint64{
-	"Aligned":    Aligned[uint64],
-	"Misaligned": Misaligned[uint64],
-}
-
 // What the code controls, asserted exactly whatever the host grants:
 // mappings carrying the huge-page advice cover the allocation's 2 MiB
 // interior.
 func TestLargeAllocationAdvisesHugePages(t *testing.T) {
 	skipWithoutTHP(t)
 	const bytes = 8 << 20
-	for name, alloc := range allocators {
-		s := alloc(bytes / 8)
-		lo, hi := hugeInterior(addrOf(s), bytes)
-		next := lo // the first interior address not yet seen advised
-		for _, m := range smaps(t, lo, hi) {
-			if m.start <= next && m.advised {
-				next = m.end
-			}
+	s := Make[uint64](bytes / 8)
+	lo, hi := hugeInterior(addrOf(s), bytes)
+	next := lo // the first interior address not yet seen advised
+	for _, m := range smaps(t, lo, hi) {
+		if m.start <= next && m.advised {
+			next = m.end
 		}
-		if hi-lo < hugePage || next < hi {
-			t.Errorf("%s(%d MiB): interior [%#x, %#x) advised only up to %#x", name, bytes>>20, lo, hi, next)
-		}
-		runtime.KeepAlive(s)
 	}
+	if hi-lo < hugePage || next < hi {
+		t.Errorf("Make(%d MiB): interior [%#x, %#x) advised only up to %#x", bytes>>20, lo, hi, next)
+	}
+	runtime.KeepAlive(s)
 }
 
 // What the host grants: advised memory is backed by huge pages when it is
@@ -106,22 +97,20 @@ func TestLargeAllocationAdvisesHugePages(t *testing.T) {
 func TestLargeAllocationGetsHugePages(t *testing.T) {
 	skipWithoutTHP(t)
 	const bytes = 8 << 20
-	for name, alloc := range allocators {
-		debug.FreeOSMemory()
-		s := alloc(bytes / 8)
-		for i := range s {
-			s[i] = uint64(i)
-		}
-		lo, hi := hugeInterior(addrOf(s), bytes)
-		kb := 0
-		for _, m := range smaps(t, lo, hi) {
-			kb += m.hugeKB
-		}
-		if kb == 0 {
-			t.Errorf("%s(%d MiB): AnonHugePages 0 kB over its range", name, bytes>>20)
-		}
-		runtime.KeepAlive(s)
+	debug.FreeOSMemory()
+	s := Make[uint64](bytes / 8)
+	for i := range s {
+		s[i] = uint64(i)
 	}
+	lo, hi := hugeInterior(addrOf(s), bytes)
+	kb := 0
+	for _, m := range smaps(t, lo, hi) {
+		kb += m.hugeKB
+	}
+	if kb == 0 {
+		t.Errorf("Make(%d MiB): AnonHugePages 0 kB over its range", bytes>>20)
+	}
+	runtime.KeepAlive(s)
 }
 
 func mapCount(t *testing.T) int {
@@ -145,7 +134,7 @@ func TestHugeAdviceChurnKeepsMappingsBounded(t *testing.T) {
 		// Vary the size so advised ranges start and end at different
 		// offsets of the heap from cycle to cycle.
 		n := (2*hugePage + (i%7)*hugePage/3 + (i%5)*4096) / 8
-		s := Aligned[uint64](n)
+		s := Make[uint64](n)
 		s[0], s[n-1] = 1, 1
 		runtime.KeepAlive(s)
 		runtime.GC()

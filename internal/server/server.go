@@ -164,9 +164,6 @@ type Options struct {
 	// created without an explicit tw; 0 means DefaultTw. It parameterizes
 	// the advice/migrate/autotune cost comparisons.
 	Tw float64
-	// Policy is the migration hysteresis rule shared by every filter
-	// (zero fields get the adaptive package's defaults).
-	Policy adaptive.Policy
 	// Logger receives structured operational events (control-plane
 	// lifecycle, autotune decisions, mid-stream probe write failures);
 	// nil means slog.Default().
@@ -195,7 +192,6 @@ type Server struct {
 	totalBits uint64
 	dataDir   string
 	tw        float64
-	policy    adaptive.Policy
 	log       *slog.Logger
 	pprof     bool
 	started   time.Time
@@ -268,7 +264,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		filters:  make(map[string]*entry),
 		maxBytes: maxBytes, maxBits: maxBits, totalBits: totalBits,
-		dataDir: opts.DataDir, tw: tw, policy: opts.Policy.WithDefaults(),
+		dataDir: opts.DataDir, tw: tw,
 		log: logger, pprof: opts.Pprof, started: time.Now(),
 		metrics:       newServerMetrics(obs.Default),
 		tracer:        tracer,
@@ -292,7 +288,6 @@ func (s *Server) adaptiveOptions(tw, sigma, budget float64) perfilter.AdaptiveOp
 	}
 	return perfilter.AdaptiveOptions{
 		Workload: perfilter.Workload{Tw: tw, Sigma: sigma, BitsPerKeyBudget: budget},
-		Policy:   s.policy,
 		// Shards is set per filter at construction.
 		DisableAutoGrow: true,
 	}
@@ -1022,23 +1017,27 @@ type AutotuneResult struct {
 	Err      string `json:"error,omitempty"`
 }
 
+// registered returns the names and entries of every built filter, skipping
+// in-flight creates' placeholders.
+func (s *Server) registered() (names []string, entries []*entry) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for name, e := range s.filters {
+		if e.f != nil {
+			names = append(names, name)
+			entries = append(entries, e)
+		}
+	}
+	return names, entries
+}
+
 // AutotuneOnce runs one re-optimization sweep over every registered
 // filter: one Adaptive.Reoptimize pass each, migrating the ones whose
 // modeled win clears the hysteresis margin, within the memory budget. It
 // is the body of the -autotune loop and is exported so operators (and
 // tests) can drive a sweep on demand.
 func (s *Server) AutotuneOnce() []AutotuneResult {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.filters))
-	entries := make([]*entry, 0, len(s.filters))
-	for name, e := range s.filters {
-		if e.f == nil { // in-flight create's placeholder
-			continue
-		}
-		names = append(names, name)
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
+	names, entries := s.registered()
 	// One forced root span per sweep; each filter's pass is an
 	// "adaptive.evaluate" child carrying the modeled overheads (rho_cur vs
 	// rho_new), so an operator can read *why* the loop did or did not act.
@@ -1214,17 +1213,7 @@ func (s *Server) SaveAll() (int, error) {
 	if s.dataDir == "" {
 		return 0, nil
 	}
-	s.mu.RLock()
-	names := make([]string, 0, len(s.filters))
-	entries := make([]*entry, 0, len(s.filters))
-	for name, e := range s.filters {
-		if e.f == nil { // in-flight create's placeholder
-			continue
-		}
-		names = append(names, name)
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
+	names, entries := s.registered()
 	_, sp := s.tracer.StartRootForced(context.Background(), "server.saveall")
 	sp.SetAttr("filters", len(names))
 	defer sp.End()

@@ -342,9 +342,12 @@ func TestTotalMemoryBudget(t *testing.T) {
 // server with a data dir snapshots its filters, a second server restores
 // from the same dir, and every probe answers byte-identically — the
 // "kill and restart filter-server" scenario, minus the process boundary.
+// Half the filters are snapshotted through the endpoint; the shutdown
+// path, SaveAll, must write all of them.
 func TestSnapshotRestartEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	ts := httptest.NewServer(newQuiet(Options{DataDir: dir}).Handler())
+	srv := newQuiet(Options{DataDir: dir})
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	nKeys := 100_000
@@ -372,7 +375,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 	}
 	preSel := map[string][]byte{}
 	preInfo := map[string]map[string]any{}
-	for _, spec := range specs {
+	for i, spec := range specs {
 		doJSON(t, "POST", ts.URL+"/v1/filters", spec, http.StatusCreated)
 		// A rotation before the fill gives the snapshot a non-zero
 		// generation to carry across the restart.
@@ -391,11 +394,18 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 		}
 		preSel[spec.Name] = sel.Bytes()
 		preInfo[spec.Name] = doJSON(t, "GET", ts.URL+"/v1/filters/"+spec.Name, nil, http.StatusOK)
+		if i%2 == 1 {
+			continue // left to SaveAll
+		}
 		// Snapshot on demand via the endpoint.
 		out := doJSON(t, "POST", ts.URL+"/v1/filters/"+spec.Name+"/snapshot", nil, http.StatusOK)
 		if out["bytes"].(float64) <= 0 {
 			t.Fatalf("%s: snapshot wrote %v bytes", spec.Name, out["bytes"])
 		}
+	}
+	// Shutdown (filter-server's SIGTERM path) saves every filter.
+	if saved, err := srv.SaveAll(); saved != len(specs) || err != nil {
+		t.Fatalf("SaveAll: saved %d of %d filters, err %v", saved, len(specs), err)
 	}
 
 	// "Restart": a brand-new server restores from the same directory.

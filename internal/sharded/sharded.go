@@ -745,22 +745,6 @@ func (f *Filter) FPR(n uint64) float64 {
 	return fpr
 }
 
-// StorageAligned reports whether every shard's inner filter reports
-// cache-line-aligned word storage; a shard whose kind cannot report
-// alignment counts as misaligned.
-func (f *Filter) StorageAligned() bool {
-	for _, s := range f.gen.Load().shards {
-		s.mu.RLock()
-		a, ok := s.f.(interface{ StorageAligned() bool })
-		aligned := ok && a.StorageAligned()
-		s.mu.RUnlock()
-		if !aligned {
-			return false
-		}
-	}
-	return true
-}
-
 // Stats is a point-in-time snapshot of the sharded filter.
 type Stats struct {
 	Shards     int      // shard count P

@@ -81,9 +81,9 @@ func layoutFor(p Params, slots uint64, n uint64) table {
 	}
 	total := t.totalSlots()
 	if p.FingerprintBits == 16 {
-		t.fp16 = mem.Aligned[uint16](int(total))
+		t.fp16 = mem.Make[uint16](int(total))
 	} else {
-		t.fp8 = mem.Aligned[uint8](int(total))
+		t.fp8 = mem.Make[uint8](int(total))
 	}
 	return t
 }

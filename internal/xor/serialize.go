@@ -144,12 +144,12 @@ func Unmarshal(data []byte) (*Filter, error) {
 	}
 	if total != 0 {
 		if p.FingerprintBits == 16 {
-			f.tab.fp16 = mem.Aligned[uint16](int(total))
+			f.tab.fp16 = mem.Make[uint16](int(total))
 			for i := range f.tab.fp16 {
 				f.tab.fp16[i] = le.Uint16(body[2*i:])
 			}
 		} else {
-			f.tab.fp8 = mem.Aligned[uint8](int(total))
+			f.tab.fp8 = mem.Make[uint8](int(total))
 			copy(f.tab.fp8, body[:total])
 		}
 	}

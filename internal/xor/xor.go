@@ -36,7 +36,6 @@ import (
 
 	"perfilter/internal/core"
 	"perfilter/internal/fpr"
-	"perfilter/internal/mem"
 	"perfilter/internal/rng"
 )
 
@@ -197,9 +196,6 @@ func Build(p Params, keys []Key) (*Filter, error) {
 	return f, nil
 }
 
-// Params returns the filter's parameters.
-func (f *Filter) Params() Params { return f.params }
-
 // Sealed reports whether the table has been solved.
 func (f *Filter) Sealed() bool { return f.sealed }
 
@@ -300,13 +296,6 @@ func (f *Filter) Count() uint64 {
 
 // FPR returns the analytic false-positive rate (2^-w, independent of n).
 func (f *Filter) FPR(n uint64) float64 { return f.params.FPR() }
-
-// StorageAligned reports whether the fingerprint table starts on a
-// cache-line boundary. An unsealed filter has no table yet and is
-// vacuously aligned.
-func (f *Filter) StorageAligned() bool {
-	return mem.IsAligned(f.tab.fp8) && mem.IsAligned(f.tab.fp16)
-}
 
 // Reset returns the filter to the empty building phase.
 func (f *Filter) Reset() {
