@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"perfilter/internal/registry"
 	"perfilter/internal/sharded"
 )
 
@@ -66,27 +65,19 @@ func NewSharded(cfg Config, mBits uint64, shards int) (*Sharded, error) {
 	return sh, nil
 }
 
-// factoryFor builds one shard of the given size, in bits for every kind:
-// the descriptor's NewShard override (the exact set's bits regime) takes
-// precedence over its standalone constructor, so a small per-shard split
-// never lands in New's below-2^16 capacity-hint regime. cfg is captured by
-// value: the factory outlives the Rotate/Migrate call that installed it,
-// and must keep building the generation it was made for even after a later
-// Migrate changes the wrapper's configuration.
+// factoryFor builds one shard of the given size, in bits for every kind
+// (newFilter's shard mode), so a small per-shard split never lands in
+// New's below-2^16 capacity-hint regime for the exact set. cfg is captured
+// by value: the factory outlives the Rotate/Migrate call that installed
+// it, and must keep building the generation it was made for even after a
+// later Migrate changes the wrapper's configuration.
 func factoryFor(cfg Config, perShardBits uint64) sharded.Factory {
 	return func() (sharded.Inner, error) {
 		mc, err := cfg.toModel()
 		if err != nil {
 			return nil, err
 		}
-		d := registry.Lookup(mc.Kind)
-		if !d.Constructible() {
-			return nil, fmt.Errorf("perfilter: no registered family for kind %s", cfg.Kind)
-		}
-		if d.NewShard != nil {
-			return d.NewShard(mc, perShardBits)
-		}
-		return d.New(mc, perShardBits)
+		return newFilter(mc, perShardBits, true)
 	}
 }
 

@@ -19,13 +19,11 @@ import (
 var goldenCapture = flag.Bool("golden-capture", false,
 	"log the golden envelope digests and advise lines in pinnable form")
 
-// The golden equivalence suite pins observable behaviour across the
-// kind-descriptor refactor: the exact serialized bytes of every wire
-// format, the advisor's answers over a workload grid, and the adaptive
-// control loop's migration verdicts. The expectations below were captured
-// from the pre-registry dispatch code (hand-written switches in
-// perfilter.go, serialize.go, internal/model and internal/server); any
-// drift means the registry changed behaviour, not just structure.
+// The golden equivalence suite pins observable behaviour across
+// refactors of the per-kind dispatch: the exact serialized bytes of every
+// wire format, the advisor's answers over a workload grid, and the
+// adaptive control loop's migration verdicts. Any drift means a refactor
+// changed behaviour, not just structure.
 //
 // Everything pinned here is deterministic: the filters use fixed hash
 // constants (no seeding), cuckoo eviction walks are derived from the

@@ -13,12 +13,12 @@ import (
 // boundary (empty, sub-depth, exact multiples, off-by-one around them),
 // so a depth change can never silently break the remainder loop or the
 // group-ahead mask precompute. Each configuration also pins the kernel
-// ContainsBatch dispatches to: the registry's default geometry must reach
+// ContainsBatch dispatches to: the default geometry must reach
 // the specialised kernel, so the fast path cannot silently fall back, and
 // the non-default cache-sectorized geometries keep the general kernel
 // covered.
 func TestPipelinedKernelsMatchGeneric(t *testing.T) {
-	// The registry default (magic addressing) and its power-of-two twin.
+	// The default (magic addressing) and its power-of-two twin.
 	pow2Default := DefaultParams()
 	pow2Default.Magic = false
 	configs := []struct {

@@ -13,7 +13,7 @@ import (
 // (selectKernel):
 //
 //   - batchRegister: register-blocked, one word per key;
-//   - batchCacheSectorizedZ2K8: the registry's default cache-sectorized
+//   - batchCacheSectorizedZ2K8: the default cache-sectorized
 //     geometry (W = S = 64, z = 2, k = 8, DefaultParams) with both
 //     addressing modes, its draw plan hoisted into shifts and its four
 //     field extractions per group unrolled;
@@ -105,7 +105,7 @@ const (
 
 // selectKernel picks the batch kernel from the filter's own geometry and
 // draw plan, once at construction. The specialised cache-sectorized kernel
-// takes the registry's default geometry (W = S = 64, z = 2, k = 8, any
+// takes the default geometry (W = S = 64, z = 2, k = 8, any
 // block size and either addressing mode) whenever its fixed draw layout
 // holds; every other word-sector configuration runs the general kernels.
 func (f *Filter[W]) selectKernel() kernelID {

@@ -13,15 +13,7 @@ import (
 // parameters, block count) followed by the raw word array. Filters deserialize on any
 // architecture; word order is canonicalized to little-endian.
 
-// WireMagic is the first little-endian uint32 of every serialized blocked
-// filter; the perfilter package dispatches decoders on it. The value is
-// assigned centrally in internal/magic alongside every other format's.
-const WireMagic = magic.WireBlocked // "pfLB"
-
-const (
-	wireMagic   = WireMagic
-	wireVersion = 1
-)
+const wireVersion = 1
 
 // headerLen is the serialized header size in bytes.
 const headerLen = 4 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 4
@@ -31,7 +23,7 @@ func (f *Filter[W]) MarshalBinary() ([]byte, error) {
 	wordBytes := int(f.wordBits / 8)
 	out := make([]byte, headerLen+len(f.words)*wordBytes)
 	le := binary.LittleEndian
-	le.PutUint32(out[0:], wireMagic)
+	le.PutUint32(out[0:], magic.WireBlocked)
 	out[4] = wireVersion
 	if f.params.Magic {
 		out[5] = 1
@@ -62,7 +54,7 @@ func Unmarshal(data []byte) (Probe, error) {
 		return nil, fmt.Errorf("blocked: truncated header")
 	}
 	le := binary.LittleEndian
-	if le.Uint32(data[0:]) != wireMagic {
+	if le.Uint32(data[0:]) != magic.WireBlocked {
 		return nil, fmt.Errorf("blocked: bad magic")
 	}
 	if data[4] != wireVersion {

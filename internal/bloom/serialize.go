@@ -12,11 +12,6 @@ import (
 // canonicalized to little-endian so filters deserialize on any
 // architecture.
 
-// WireMagic is the first little-endian uint32 of every serialized classic
-// filter; the perfilter package dispatches decoders on it. The value is
-// assigned centrally in internal/magic alongside every other format's.
-const WireMagic = magic.WireClassic // "pfLK"
-
 const (
 	wireVersion = 1
 	headerLen   = 4 + 1 + 1 + 4 + 4
@@ -26,7 +21,7 @@ const (
 func (f *Filter) MarshalBinary() ([]byte, error) {
 	out := make([]byte, headerLen+len(f.words)*8)
 	le := binary.LittleEndian
-	le.PutUint32(out[0:], WireMagic)
+	le.PutUint32(out[0:], magic.WireClassic)
 	out[4] = wireVersion
 	if f.params.Magic {
 		out[5] = 1
@@ -45,7 +40,7 @@ func Unmarshal(data []byte) (*Filter, error) {
 		return nil, fmt.Errorf("bloom: truncated header")
 	}
 	le := binary.LittleEndian
-	if le.Uint32(data[0:]) != WireMagic {
+	if le.Uint32(data[0:]) != magic.WireClassic {
 		return nil, fmt.Errorf("bloom: bad magic")
 	}
 	if data[4] != wireVersion {

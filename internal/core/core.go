@@ -30,7 +30,7 @@ type BatchProber interface {
 }
 
 // Filter is the unified filter contract every kind implements, declared
-// once here so the root package, the kind registry and the sharded
+// once here so the root package, the kernels and the sharded
 // wrapper share it without importing each other.
 type Filter interface {
 	// Insert adds a key. Only cuckoo filters can fail.

@@ -11,13 +11,7 @@ import (
 // followed by the packed tag words, plus the victim slot so a parked tag
 // survives the round trip with no false negatives.
 
-// WireMagic is the first little-endian uint32 of every serialized cuckoo
-// filter; the perfilter package dispatches decoders on it. The value is
-// assigned centrally in internal/magic alongside every other format's.
-const WireMagic = magic.WireCuckoo // "pfLC"
-
 const (
-	wireMagic   = WireMagic
 	wireVersion = 1
 	headerLen   = 4 + 1 + 1 + 4 + 4 + 4 + 8 + 4 + 4 + 1
 )
@@ -26,7 +20,7 @@ const (
 func (f *Filter) MarshalBinary() ([]byte, error) {
 	out := make([]byte, headerLen+len(f.words)*8)
 	le := binary.LittleEndian
-	le.PutUint32(out[0:], wireMagic)
+	le.PutUint32(out[0:], magic.WireCuckoo)
 	out[4] = wireVersion
 	if f.params.Magic {
 		out[5] = 1
@@ -52,7 +46,7 @@ func Unmarshal(data []byte) (*Filter, error) {
 		return nil, fmt.Errorf("cuckoo: truncated header")
 	}
 	le := binary.LittleEndian
-	if le.Uint32(data[0:]) != wireMagic {
+	if le.Uint32(data[0:]) != magic.WireCuckoo {
 		return nil, fmt.Errorf("cuckoo: bad magic")
 	}
 	if data[4] != wireVersion {

@@ -14,11 +14,6 @@ import (
 // merely equivalent: re-inserting in scan order could tie-break Robin
 // Hood displacements differently.
 
-// WireMagic is the first little-endian uint32 of every serialized exact
-// set; the perfilter package dispatches decoders on it. The value is
-// assigned centrally in internal/magic alongside every other format's.
-const WireMagic = magic.WireExact // "pfLE"
-
 const (
 	wireVersion = 1
 	headerLen   = 4 + 1 + 3 + 4 + 4
@@ -28,7 +23,7 @@ const (
 func (s *Set) MarshalBinary() ([]byte, error) {
 	out := make([]byte, headerLen+len(s.slots)*8)
 	le := binary.LittleEndian
-	le.PutUint32(out[0:], WireMagic)
+	le.PutUint32(out[0:], magic.WireExact)
 	out[4] = wireVersion
 	le.PutUint32(out[8:], uint32(len(s.slots)))
 	le.PutUint32(out[12:], uint32(s.count))
@@ -45,7 +40,7 @@ func Unmarshal(data []byte) (*Set, error) {
 		return nil, fmt.Errorf("exact: truncated header")
 	}
 	le := binary.LittleEndian
-	if le.Uint32(data[0:]) != WireMagic {
+	if le.Uint32(data[0:]) != magic.WireExact {
 		return nil, fmt.Errorf("exact: bad magic")
 	}
 	if data[4] != wireVersion {

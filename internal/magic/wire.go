@@ -3,11 +3,10 @@ package magic
 // Wire magics: the first little-endian uint32 of every serialized filter
 // format in the module, declared together so the full namespace is visible
 // in one place and collisions are impossible to miss (TestWireMagicsUnique
-// asserts uniqueness). Each family's serializer references its constant
-// (directly or through a package-local alias), and the kind-descriptor
-// registry keys its decoder dispatch on them. The values spell "pfL?" in
-// little-endian ASCII and are frozen: changing one breaks every snapshot
-// written by an earlier build.
+// asserts uniqueness). Each family's serializer writes and checks its
+// constant, and the root package's Unmarshal switches on them to pick the
+// decoder. The values spell "pfL?" in little-endian ASCII and are frozen:
+// changing one breaks every snapshot written by an earlier build.
 const (
 	// WireBlocked tags blocked / register-blocked / sectorized /
 	// cache-sectorized Bloom filters (internal/blocked).

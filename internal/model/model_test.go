@@ -405,16 +405,15 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestEveryKindRegistered is the family-registry regression test: every
+// TestEveryKindRegistered is the spec-table regression test: every
 // Kind below numKinds must have a String() name, at least one enumerable
 // configuration under some hint set, and a positive cost-model entry —
-// so a new family cannot be added to the enum without wiring it through
-// the registration seams.
+// so a new family cannot be added to the enum without a kindSpecs entry.
 func TestEveryKindRegistered(t *testing.T) {
 	allHints := EnumHints{FullSpace: true, AllowExact: true, ReadMostly: true}
 	kinds := EnumerableKinds(allHints)
 	if len(kinds) != NumKinds() {
-		t.Fatalf("EnumerableKinds(all) returned %d kinds, registry has %d", len(kinds), NumKinds())
+		t.Fatalf("EnumerableKinds(all) returned %d kinds, want %d", len(kinds), NumKinds())
 	}
 	byKind := make(map[Kind][]Config)
 	for _, cfg := range ConfigsFor(kinds, true) {

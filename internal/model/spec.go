@@ -1,25 +1,14 @@
 package model
 
-import "fmt"
-
 // kindSpec is one filter family's model-side registration: every per-kind
 // behaviour the analytic layer needs — validation, rendering, the FPR and
 // feasibility models, sizing rules, the cost function, the sweep
 // enumeration and its workload gate — gathered in one immutable record.
 // The Config methods in config.go, the Machine cost model in cost.go and
 // the enumeration in enumerate.go are all table lookups over these specs,
-// so adding a family is one new spec_<family>.go file and a Kind constant;
-// nothing else in the package dispatches on Kind.
-//
-// Registration is a plain package-level expression in each spec file
-// (`var _ = registerSpec(...)`): linking the package registers every
-// family, with no init() functions and no blank-import side effects in
-// user code paths. NumKinds() cannot drift from the table — the numKinds
-// sentinel sizes it, and TestEveryKindRegistered plus the registry
-// conformance suite assert every slot is filled.
+// so adding a family is one new spec_<family>.go file, a Kind constant and
+// its kindSpecs entry; nothing else in the package dispatches on Kind.
 type kindSpec struct {
-	// kind is the slot this spec fills; exactly one spec per Kind.
-	kind Kind
 	// name is the canonical kind string (Kind.String, server kind names).
 	name string
 	// letter is the one-character type-map legend (skyline rendering).
@@ -65,29 +54,20 @@ type kindSpec struct {
 	buildSurcharge func(tw float64) float64
 }
 
-// kindSpecs is the registry, indexed by Kind. The numKinds sentinel sizes
-// it, so a spec for an out-of-range kind cannot register.
-var kindSpecs [numKinds]*kindSpec
-
-// registerSpec installs a family's spec at package initialization; it
-// panics on a duplicate or out-of-range kind because either is a
-// programming error a test run must surface immediately.
-func registerSpec(s kindSpec) struct{} {
-	if s.kind >= numKinds {
-		panic(fmt.Sprintf("model: spec for out-of-range kind %d", s.kind))
-	}
-	if kindSpecs[s.kind] != nil {
-		panic(fmt.Sprintf("model: duplicate spec for kind %s", s.kind))
-	}
-	c := s
-	kindSpecs[s.kind] = &c
-	return struct{}{}
+// kindSpecs is the spec table, indexed by Kind. Each spec_<family>.go
+// declares its family's kindSpec value; the numKinds sentinel sizes the
+// array, so a duplicate or out-of-range index fails to compile and
+// TestEveryKindRegistered catches a missing entry.
+var kindSpecs = [numKinds]*kindSpec{
+	KindBlockedBloom: &blockedSpec,
+	KindClassicBloom: &classicSpec,
+	KindCuckoo:       &cuckooSpec,
+	KindExact:        &exactSpec,
+	KindXor:          &xorSpec,
 }
 
-// specOf returns the spec for k, or nil for an invalid/unregistered kind.
-// Callers fall back to the pre-registry default behaviour on nil (e.g.
-// FPR 0, granule 1), so corrupt kinds degrade exactly as the hand-written
-// switches did.
+// specOf returns the spec for k, or nil for an invalid kind. Callers fall
+// back to a neutral default on nil (e.g. FPR 0, granule 1).
 func specOf(k Kind) *kindSpec {
 	if k < numKinds {
 		return kindSpecs[k]

@@ -3,8 +3,7 @@ package model
 // The classic (unblocked) Bloom baseline. Gated behind FullSpace: the
 // paper includes it in sweeps to demonstrate it is never
 // performance-optimal.
-var _ = registerSpec(kindSpec{
-	kind:   KindClassicBloom,
+var classicSpec = kindSpec{
 	name:   "classic",
 	letter: 'S', // the SIMD classic baseline, per the paper's naming
 
@@ -28,4 +27,4 @@ var _ = registerSpec(kindSpec{
 	},
 	enumerate: func(bool) []Config { return EnumerateClassic() },
 	gate:      func(h EnumHints) bool { return h.FullSpace },
-})
+}

@@ -4,8 +4,7 @@ package model
 // AllowExact, sized by key count (ExactBits), and exempt from the
 // bits-per-key budget — sweeps admit it under SweepOpts.MaxExactBytes
 // instead (Figure 1's "too large & expensive" cap).
-var _ = registerSpec(kindSpec{
-	kind:   KindExact,
+var exactSpec = kindSpec{
 	name:   "exact",
 	letter: 'E',
 
@@ -22,4 +21,4 @@ var _ = registerSpec(kindSpec{
 	gate:         func(h EnumHints) bool { return h.AllowExact },
 	sizeForKeys:  func(_ Config, n uint64) uint64 { return ExactBits(n) },
 	budgetExempt: true,
-})
+}

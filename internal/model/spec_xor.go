@@ -5,8 +5,7 @@ package model
 // only through a key-log rebuild — sized by key count
 // (xor.Params.SizeForKeys), and carrying the rebuild surcharge that
 // amortizes re-peeling over the lookup budget.
-var _ = registerSpec(kindSpec{
-	kind:   KindXor,
+var xorSpec = kindSpec{
 	name:   "xor",
 	letter: 'X',
 
@@ -18,29 +17,36 @@ var _ = registerSpec(kindSpec{
 	feasible: func(c Config, mBits, n uint64) bool {
 		return mBits >= c.Xor.SizeForKeys(n)
 	},
-	// One 64-bit mix yields all three slot addresses and the fingerprint.
-	hashBits: func(Config) float64 { return 64 },
-	// Three independent table thirds; the fuse layout's adjacent small
-	// segments stay within one or two lines in practice — modelled as two.
-	lines: func(c Config) float64 {
-		if c.Xor.Fuse {
-			return 2
-		}
-		return 3
-	},
+	hashBits: xorHashBits,
+	lines:    xorLines,
 	cycles: func(m Machine, c Config, mBits uint64, simd bool) float64 {
 		mem := m.memCost(float64(mBits) / 8)
 		// One 64-bit mix, three multiply-shift reductions, three loads
 		// and an xor-compare; the three loads are independent, so the
 		// batched kernel pipelines them like a gather.
-		cpu := 2.0 + 0.06*c.HashBits() + 1.5
+		cpu := 2.0 + 0.06*xorHashBits(c) + 1.5
 		if simd {
 			cpu = cpu/m.simdSpeedup(32, 1.0) + 0.5
 		}
-		return cpu + c.LinesAccessed()*mem
+		return cpu + xorLines(c)*mem
 	},
 	enumerate:      func(bool) []Config { return EnumerateXor() },
 	gate:           func(h EnumHints) bool { return h.ReadMostly },
 	sizeForKeys:    func(c Config, n uint64) uint64 { return c.Xor.SizeForKeys(n) },
 	buildSurcharge: XorBuildSurcharge,
-})
+}
+
+// xorHashBits: one 64-bit mix yields all three slot addresses and the
+// fingerprint. See blockedHashBits for why the cost function calls it and
+// xorLines directly.
+func xorHashBits(Config) float64 { return 64 }
+
+// xorLines: three independent table thirds; the fuse layout's adjacent
+// small segments stay within one or two lines in practice — modelled as
+// two.
+func xorLines(c Config) float64 {
+	if c.Xor.Fuse {
+		return 2
+	}
+	return 3
+}

@@ -1,26 +1,22 @@
-// Conformance suite for the kind-descriptor registry: importing the root
-// package populates the table (each family's register_<family>.go runs at
-// package initialization), and these tests assert the registry, the
-// model's kind-spec table and the wire-magic assignments all agree — the
-// invariants a new family must satisfy by adding exactly one descriptor
-// file plus one model spec file.
-package registry_test
+package registry
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"perfilter"
+	"perfilter/internal/blocked"
+	"perfilter/internal/cuckoo"
 	"perfilter/internal/magic"
 	"perfilter/internal/model"
-	"perfilter/internal/registry"
 )
 
 // testKeys returns n deterministic keys (xorshift32).
-func testKeys(n int) []registry.Key {
-	keys := make([]registry.Key, n)
+func testKeys(n int) []perfilter.Key {
+	keys := make([]perfilter.Key, n)
 	s := uint32(0x243F6A88)
 	for i := range keys {
 		s ^= s << 13
@@ -31,17 +27,46 @@ func testKeys(n int) []registry.Key {
 	return keys
 }
 
-// TestEveryModelKindHasDescriptor asserts the registry covers the model's
-// whole Kind space with constructible descriptors whose names match
-// Kind.String() — NumKinds cannot drift from the registered families.
-func TestEveryModelKindHasDescriptor(t *testing.T) {
-	for k := model.Kind(0); int(k) < model.NumKinds(); k++ {
-		d := registry.Lookup(k)
-		if !d.Constructible() {
-			t.Fatalf("kind %d (%s) has no constructible descriptor", k, k)
+// build returns a filter of kind k built from its default configuration.
+func build(t *testing.T, k model.Kind) perfilter.Filter {
+	t.Helper()
+	f, err := perfilter.New(perfilter.DefaultConfig(perfilter.Kind(k)), 1<<16)
+	if err != nil {
+		t.Fatalf("kind %s: New(DefaultConfig): %v", k, err)
+	}
+	return f
+}
+
+// TestLookupMatchesDefaultConfig pins the benchmark's lookup to the root
+// package's defaults: same kind, same rendering, and valid.
+func TestLookupMatchesDefaultConfig(t *testing.T) {
+	for k := range model.Kind(model.NumKinds()) {
+		got := Lookup(k).Default
+		want := perfilter.DefaultConfig(perfilter.Kind(k))
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s: %v", k, err)
 		}
-		if d.Name != k.String() {
-			t.Errorf("kind %s: descriptor name %q != Kind.String() %q", k, d.Name, k.String())
+		if got.String() != want.String() {
+			t.Errorf("%s: Lookup renders %q, DefaultConfig %q", k, got, want)
+		}
+	}
+}
+
+// TestEveryModelKindHasDescriptor asserts Lookup covers the model's whole
+// Kind space: each kind's default declares that kind, validates, resolves
+// by name, builds, and encodes under a centrally assigned wire magic. The
+// blocked and cuckoo defaults the benchmark replay hands straight to the
+// kernel constructors build there too.
+func TestEveryModelKindHasDescriptor(t *testing.T) {
+	assigned := map[uint32]bool{}
+	for _, m := range magic.WireMagics() {
+		assigned[m] = true
+	}
+	seen := map[uint32]model.Kind{}
+	for k := range model.Kind(model.NumKinds()) {
+		d := Lookup(k)
+		if d == nil {
+			t.Fatalf("kind %d has no descriptor", k)
 		}
 		if d.Default.Kind != k {
 			t.Errorf("kind %s: default config declares kind %s", k, d.Default.Kind)
@@ -49,31 +74,48 @@ func TestEveryModelKindHasDescriptor(t *testing.T) {
 		if err := d.Default.Validate(); err != nil {
 			t.Errorf("kind %s: default config invalid: %v", k, err)
 		}
-		if d.WireMagic == 0 {
-			t.Errorf("kind %s: no wire magic", k)
+		if got, ok := perfilter.KindByName(k.String()); !ok || got != perfilter.Kind(k) {
+			t.Errorf("kind %s: KindByName(%q) = %v, %v", k, k.String(), got, ok)
 		}
-		if registry.ByName(d.Name) != d {
-			t.Errorf("kind %s: ByName(%q) does not resolve to its descriptor", k, d.Name)
+		f := build(t, k)
+		if s, ok := f.(interface{ Seal() error }); ok {
+			if err := s.Seal(); err != nil {
+				t.Fatalf("kind %s: Seal: %v", k, err)
+			}
 		}
+		data, err := perfilter.Marshal(f)
+		if err != nil {
+			t.Fatalf("kind %s: Marshal: %v", k, err)
+		}
+		m := binary.LittleEndian.Uint32(data)
+		if !assigned[m] {
+			t.Errorf("kind %s: encoding leads with %#08x, not assigned in internal/magic", k, m)
+		}
+		if prev, dup := seen[m]; dup {
+			t.Errorf("kinds %s and %s share wire magic %#08x", prev, k, m)
+		}
+		seen[m] = k
+	}
+	if _, err := blocked.New(Lookup(model.KindBlockedBloom).Default.Bloom, 1<<16); err != nil {
+		t.Errorf("blocked.New(Lookup default): %v", err)
+	}
+	if _, err := cuckoo.New(Lookup(model.KindCuckoo).Default.Cuckoo, 1<<16); err != nil {
+		t.Errorf("cuckoo.New(Lookup default): %v", err)
 	}
 }
 
-// TestDescriptorRoundTrip builds each constructible family from its
-// default configuration, inserts keys, serializes through perfilter.Marshal
-// (the filter's own MarshalBinary) and decodes through the magic-keyed
-// Decode, asserting the decoded filter has the built filter's type and
-// answers probe-for-probe the same. A twin built with one InsertBatch
-// must serialize to the same bytes.
+// TestDescriptorRoundTrip builds each family from its default
+// configuration, inserts keys, serializes through perfilter.Marshal and
+// decodes through perfilter.Unmarshal, asserting the decoded filter has
+// the built filter's type, answers probe-for-probe the same and
+// re-encodes to the same bytes. A twin built with one InsertBatch must
+// serialize to the same bytes.
 func TestDescriptorRoundTrip(t *testing.T) {
 	keys := testKeys(500)
 	probes := testKeys(4000)
-	for k := model.Kind(0); int(k) < model.NumKinds(); k++ {
-		d := registry.Lookup(k)
-		t.Run(d.Name, func(t *testing.T) {
-			f, err := d.New(d.Default, 1<<16)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
+	for k := range model.Kind(model.NumKinds()) {
+		t.Run(k.String(), func(t *testing.T) {
+			f := build(t, k)
 			for _, key := range keys {
 				if err := f.Insert(key); err != nil {
 					t.Fatalf("Insert: %v", err)
@@ -81,14 +123,11 @@ func TestDescriptorRoundTrip(t *testing.T) {
 			}
 			// The same keys through one InsertBatch must encode
 			// byte-identically: batch kernels only reorder memory access.
-			fb, err := d.New(d.Default, 1<<16)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
+			fb := build(t, k)
 			if n, err := fb.InsertBatch(keys); n != len(keys) || err != nil {
 				t.Fatalf("InsertBatch = (%d, %v), want (%d, nil)", n, err, len(keys))
 			}
-			encode := func(f registry.Filter) []byte {
+			encode := func(f perfilter.Filter) []byte {
 				// Build-once families solve their table before
 				// serializing it.
 				if sealer, ok := f.(interface{ Seal() error }); ok {
@@ -106,20 +145,16 @@ func TestDescriptorRoundTrip(t *testing.T) {
 			if !bytes.Equal(encode(fb), data) {
 				t.Fatal("InsertBatch encodes differently from per-key Insert")
 			}
-			dd := registry.ByMagic(d.WireMagic)
-			if dd != d {
-				t.Fatalf("ByMagic(%#08x) resolves to %v, want %s", d.WireMagic, dd, d.Name)
-			}
-			g, err := dd.Decode(data)
+			g, err := perfilter.Unmarshal(data)
 			if err != nil {
-				t.Fatalf("Decode: %v", err)
+				t.Fatalf("Unmarshal: %v", err)
 			}
 			if reflect.TypeOf(g) != reflect.TypeOf(f) {
 				t.Fatalf("decoded %T, built %T", g, f)
 			}
 			want := f.ContainsBatch(probes, nil)
 			got := g.ContainsBatch(probes, nil)
-			if fmt.Sprint(want) != fmt.Sprint(got) {
+			if !slices.Equal(want, got) {
 				t.Fatalf("round-trip probe mismatch: %d vs %d hits", len(want), len(got))
 			}
 			data2, err := perfilter.Marshal(g)
@@ -133,26 +168,10 @@ func TestDescriptorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCostEntryPresence asserts the model's spec table prices every
-// registered family: a descriptor without a cost entry would silently
-// fall out of every sweep.
-func TestCostEntryPresence(t *testing.T) {
-	m := model.SKX()
-	for k := model.Kind(0); int(k) < model.NumKinds(); k++ {
-		d := registry.Lookup(k)
-		if tl := m.Cycles(d.Default, 1<<20, true); tl <= 0 {
-			t.Errorf("kind %s: cost model returns %v cycles", k, tl)
-		}
-		if cfgs := model.ConfigsFor([]model.Kind{k}, false); len(cfgs) == 0 {
-			t.Errorf("kind %s: spec enumerates no configurations", k)
-		}
-	}
-}
-
 // TestEnumerableKindsParity asserts the advisor's eligibility gates and
-// the registry agree: every kind a sweep can pick has a constructible
-// descriptor, and the widest hints enumerate exactly the registered
-// model-kind space.
+// the constructible kinds agree: every kind a sweep can pick has a
+// default that builds, and the widest hints enumerate exactly the
+// KindNames vocabulary, in order.
 func TestEnumerableKindsParity(t *testing.T) {
 	for _, h := range []model.EnumHints{
 		{},
@@ -162,18 +181,19 @@ func TestEnumerableKindsParity(t *testing.T) {
 		{FullSpace: true, AllowExact: true, ReadMostly: true},
 	} {
 		for _, k := range model.EnumerableKinds(h) {
-			if !registry.Lookup(k).Constructible() {
-				t.Errorf("hints %+v enumerate kind %s with no descriptor", h, k)
+			if Lookup(k).Default.Kind != k {
+				t.Errorf("hints %+v enumerate kind %s with no default", h, k)
 			}
+			build(t, k)
 		}
 	}
 	full := model.EnumerableKinds(model.EnumHints{FullSpace: true, AllowExact: true, ReadMostly: true})
 	if len(full) != model.NumKinds() {
 		t.Errorf("widest hints enumerate %d kinds, want %d", len(full), model.NumKinds())
 	}
-	names := registry.KindNames()
-	if len(names) != model.NumKinds() {
-		t.Errorf("KindNames lists %d kinds, want %d: %v", len(names), model.NumKinds(), names)
+	names := perfilter.KindNames()
+	if len(names) != len(full) {
+		t.Fatalf("KindNames lists %d kinds, widest hints %d: %v", len(names), len(full), names)
 	}
 	for i, k := range full {
 		if names[i] != k.String() {
@@ -187,12 +207,8 @@ func TestEnumerableKindsParity(t *testing.T) {
 // built filters' capabilities: a family's filter implements Seal — the
 // sharded wrapper's build-once hook — exactly when it is immutable.
 func TestMutabilityParity(t *testing.T) {
-	for k := model.Kind(0); int(k) < model.NumKinds(); k++ {
-		d := registry.Lookup(k)
-		f, err := d.New(d.Default, 1<<16)
-		if err != nil {
-			t.Fatalf("kind %s: New: %v", k, err)
-		}
+	for k := range model.Kind(model.NumKinds()) {
+		f := build(t, k)
 		_, seals := f.(interface{ Seal() error })
 		if seals != !model.KindMutable(k) {
 			t.Errorf("kind %s: %T implements Seal=%v, model KindMutable=%v",
@@ -204,26 +220,8 @@ func TestMutabilityParity(t *testing.T) {
 	}
 }
 
-// TestWireMagicParity asserts the registry's magics are exactly the
-// centrally assigned set in internal/magic — no descriptor invents one.
-func TestWireMagicParity(t *testing.T) {
-	assigned := map[uint32]bool{}
-	for _, m := range magic.WireMagics() {
-		assigned[m] = true
-	}
-	regMagics := registry.WireMagics()
-	if len(regMagics) != len(assigned) {
-		t.Errorf("registry has %d wire magics, internal/magic assigns %d", len(regMagics), len(assigned))
-	}
-	for _, m := range regMagics {
-		if !assigned[m] {
-			t.Errorf("registry magic %#08x not assigned in internal/magic", m)
-		}
-	}
-}
-
-// TestPublicKindAPI asserts the root package's registry-derived helpers:
-// name resolution (including the "" alias for the default family), the
+// TestPublicKindAPI asserts the root package's kind helpers: name
+// resolution (including the "" alias for the default family), the
 // enumerated vocabulary, and default configurations that validate.
 func TestPublicKindAPI(t *testing.T) {
 	if k, ok := perfilter.KindByName(""); !ok || k != perfilter.BlockedBloom {

@@ -8,16 +8,16 @@ import (
 	"perfilter"
 )
 
-// The kind vocabulary of the create and migrate paths is derived from the
-// filter registry: an unknown kind is rejected with 400 and the error
-// enumerates every registered constructible family, so clients learn the
-// valid names from the failure itself.
+// The kind vocabulary of the create and migrate paths is
+// perfilter.KindNames: an unknown kind is rejected with 400 and the error
+// enumerates every constructible family, so clients learn the valid names
+// from the failure itself.
 func TestUnknownKindEnumeratesValidKinds(t *testing.T) {
 	ts := newTestServer(t)
 
 	wantKinds := perfilter.KindNames()
 	if len(wantKinds) == 0 {
-		t.Fatal("registry reports no constructible kinds")
+		t.Fatal("KindNames reports no constructible kinds")
 	}
 
 	check := func(t *testing.T, body map[string]any) {
@@ -49,9 +49,9 @@ func TestUnknownKindEnumeratesValidKinds(t *testing.T) {
 	})
 }
 
-// Every registered family name creates successfully with only its
-// registry defaults, and the reported kind round-trips through the
-// registry's canonical names.
+// Every family name creates successfully with only its default
+// configuration, and the reported kind round-trips through the canonical
+// names.
 func TestCreateEveryRegisteredKind(t *testing.T) {
 	ts := newTestServer(t)
 	for _, kind := range perfilter.KindNames() {

@@ -459,12 +459,12 @@ func buildConfig(req *CreateRequest) (perfilter.Config, uint64, int, error) {
 	if req.MBits == 0 {
 		return perfilter.Config{}, 0, 0, errors.New("mbits required (or give \"advise\")")
 	}
-	// The kind vocabulary comes from the filter registry: any registered
-	// family name (or alias — "" selects the blocked-Bloom default)
-	// resolves; anything else is rejected naming the valid kinds. The
-	// resolved family's headline defaults seed the configuration, and the
-	// request's geometry fields override them (fields foreign to the kind
-	// are ignored by validation, as before).
+	// The kind vocabulary is perfilter.KindByName: any family name (or
+	// "", which selects the blocked-Bloom default) resolves; anything else
+	// is rejected naming the valid kinds. The resolved family's headline
+	// defaults seed the configuration, and the request's geometry fields
+	// override them (fields foreign to the kind are ignored by validation,
+	// as before).
 	kind, ok := perfilter.KindByName(req.Kind)
 	if !ok {
 		return perfilter.Config{}, 0, 0, fmt.Errorf("unknown kind %q (valid kinds: %s)",

@@ -14,13 +14,7 @@ import (
 // results byte-identical), and pending/overflow buffers travel as raw
 // key lists so a snapshot taken mid-build or mid-rotation loses nothing.
 
-// WireMagic is the first little-endian uint32 of every serialized xor
-// filter; the perfilter package dispatches decoders on it. The value is
-// assigned centrally in internal/magic alongside every other format's.
-const WireMagic = magic.WireXor // "pfLX"
-
 const (
-	wireMagic   = WireMagic
 	wireVersion = 1
 	// header: magic u32, version u8, flags u8 (bit0 sealed, bit1 fuse),
 	// fingerprint width u8, reserved u8, seed u64, segLen u32, segCount
@@ -36,7 +30,7 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	out := make([]byte, headerLen, headerLen+total*uint64(w)/8+
 		uint64(len(f.pending)+len(f.overflow))*4)
 	le := binary.LittleEndian
-	le.PutUint32(out[0:], wireMagic)
+	le.PutUint32(out[0:], magic.WireXor)
 	out[4] = wireVersion
 	var flags uint8
 	if f.sealed {
@@ -85,7 +79,7 @@ func Unmarshal(data []byte) (*Filter, error) {
 		return nil, fmt.Errorf("xor: truncated header")
 	}
 	le := binary.LittleEndian
-	if le.Uint32(data[0:]) != wireMagic {
+	if le.Uint32(data[0:]) != magic.WireXor {
 		return nil, fmt.Errorf("xor: bad magic")
 	}
 	if data[4] != wireVersion {

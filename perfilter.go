@@ -47,7 +47,6 @@ import (
 	"perfilter/internal/exact"
 	"perfilter/internal/hashing"
 	"perfilter/internal/model"
-	"perfilter/internal/registry"
 	"perfilter/internal/xor"
 )
 
@@ -218,20 +217,15 @@ func (c Config) FPR(mBits, n uint64) float64 {
 	return mc.FPR(mBits, n)
 }
 
-// New builds a filter of (at least) mBits for the configuration, through
-// the family's registered descriptor (see internal/registry and the
-// register_<family>.go files). For Exact, mBits is interpreted as a
-// capacity hint in keys when below 2^16, else as bits (64 bits per slot).
+// New builds a filter of (at least) mBits for the configuration. For
+// Exact, mBits is interpreted as a capacity hint in keys when below 2^16,
+// else as bits (64 bits per slot).
 func New(c Config, mBits uint64) (Filter, error) {
 	mc, err := c.toModel()
 	if err != nil {
 		return nil, err
 	}
-	d := registry.Lookup(mc.Kind)
-	if !d.Constructible() {
-		return nil, fmt.Errorf("perfilter: no registered family for kind %s", c.Kind)
-	}
-	return d.New(mc, mBits)
+	return newFilter(mc, mBits, false)
 }
 
 // NewRegisterBlockedBloom returns a register-blocked Bloom filter
@@ -313,7 +307,9 @@ type CuckooFilter = cuckoo.Filter
 // completes; standalone users populate via New + Insert + Seal, or build
 // in one step with BuildXor. Folding overflow keys into the table takes a
 // rebuild from the full key set — the adaptive wrapper's key-log
-// migration does exactly that.
+// migration does exactly that. KindMutable(Xor) is false, so the adaptive
+// control loop migrates back to a mutable family when writes resume. The
+// table is sized by key count, so there is no magic addressing.
 type XorFilter = xor.Filter
 
 // compile-time interface checks

@@ -6,10 +6,13 @@ import (
 	"math"
 
 	"perfilter/internal/adaptive"
+	"perfilter/internal/blocked"
+	"perfilter/internal/bloom"
+	"perfilter/internal/cuckoo"
+	"perfilter/internal/exact"
 	"perfilter/internal/magic"
-	"perfilter/internal/model"
-	"perfilter/internal/registry"
 	"perfilter/internal/sharded"
+	"perfilter/internal/xor"
 )
 
 // Serialization turns any filter this package builds into a portable byte
@@ -75,11 +78,28 @@ func Unmarshal(data []byte) (Filter, error) {
 		return nil, fmt.Errorf("perfilter: filter encoding truncated (%d bytes, no magic)", len(data))
 	}
 	magicWord := binary.LittleEndian.Uint32(data)
-	d := registry.ByMagic(magicWord)
-	if d == nil || d.Decode == nil {
+	var f Filter
+	var err error
+	switch magicWord {
+	case magic.WireBlocked:
+		f, err = blocked.Unmarshal(data)
+	case magic.WireClassic:
+		f, err = bloom.Unmarshal(data)
+	case magic.WireCuckoo:
+		f, err = cuckoo.Unmarshal(data)
+	case magic.WireXor:
+		f, err = xor.Unmarshal(data)
+	case magic.WireExact:
+		f, err = exact.Unmarshal(data)
+	case magic.WireSharded:
+		f, err = UnmarshalSharded(data)
+	case magic.WireAdaptive:
+		f, err = UnmarshalAdaptive(data, AdaptiveOptions{})
+	default:
+		// Includes the retired counting and scalable Bloom magics: their
+		// snapshots are refused, never misread.
 		return nil, fmt.Errorf("perfilter: unrecognized filter encoding (magic %#08x)", magicWord)
 	}
-	f, err := d.Decode(data)
 	if err != nil {
 		// Tag the decoder failure with the dispatching magic: a corrupted
 		// payload always names the format it claimed to be.
@@ -213,9 +233,9 @@ func UnmarshalSharded(data []byte) (*Sharded, error) {
 	if off != len(data) {
 		return nil, fmt.Errorf("perfilter: %d trailing bytes after sharded envelope", len(data)-off)
 	}
-	// A valid configuration names a registered family (the registry
-	// conformance suite covers every model kind).
-	wantMagic := registry.Lookup(model.Kind(cfg.Kind)).WireMagic
+	// A valid configuration names a family (TestKinds covers every model
+	// kind's wireMagic case).
+	wantMagic := wireMagic(cfg.Kind)
 	sh := &Sharded{cfg: cfg, perShard: perShard}
 	s, err := sharded.Restore(snap, func(payload []byte) (sharded.Inner, error) {
 		// The payload's own magic picks the decoder; it must agree with
