@@ -425,9 +425,11 @@ func TestInsertBatchErrFullRecovery(t *testing.T) {
 // TestScalarInsertAllocs is the write path's allocation gate: the
 // lossless write protocol runs Sharded.Insert through a closure that must
 // stay on the stack, so the insert makes no allocation; Adaptive.Insert
-// adds only the key log's amortized slice growth. Sharded.InsertBatch
+// adds only the key log's amortized chunk allocation. Sharded.InsertBatch
 // reuses pooled scatter scratch and each shard's run is one InsertBatch
-// call into the blocked kernel, so a batch makes no allocation either.
+// call into the blocked kernel, so a batch makes no allocation either,
+// and Adaptive.InsertBatch adds only the key log's chunk allocation (at
+// most one per 64 Ki keys once the chunks reach their cap).
 func TestScalarInsertAllocs(t *testing.T) {
 	cfg := DefaultConfig(BlockedBloom)
 	sh, err := NewSharded(cfg, 1<<20, 4)
@@ -469,6 +471,17 @@ func TestScalarInsertAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("Sharded.InsertBatch(%d keys) allocates %.2f/op, want 0", len(batch), avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := range batch {
+			k++
+			batch[i] = k
+		}
+		if _, err := a.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); avg >= 1 {
+		t.Errorf("Adaptive.InsertBatch(%d keys) allocates %.2f/op, want < 1 (key log chunks only)", len(batch), avg)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package adaptive holds the workload-tracking and control-loop substrate
 // behind perfilter.NewAdaptive: cheap atomic workload counters, the
 // hysteresis policy deciding when a re-advised configuration is worth a
-// live migration, an append-only striped key log that makes migrations
-// lossless (any filter kind can be rebuilt from it), and the Decision
-// record each re-optimization pass leaves behind.
+// live migration, an append-only key log (one lock, chunks in arrival
+// order) that makes migrations lossless (any filter kind can be rebuilt
+// from it), and the Decision record each re-optimization pass leaves
+// behind.
 //
 // The paper's central observation is that the performance-optimal filter
 // *changes* as the workload moves (n and tw shift the Bloom/Cuckoo

@@ -1,10 +1,14 @@
 package adaptive
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"perfilter/internal/core"
+	"perfilter/internal/hashing"
+	"perfilter/internal/rng"
 )
 
 func TestStatsSnapshotAndSigma(t *testing.T) {
@@ -137,5 +141,158 @@ func TestKeyLogConcurrent(t *testing.T) {
 	}
 	if uint64(len(seen)) != total {
 		t.Fatalf("distinct keys = %d, want %d", len(seen), total)
+	}
+}
+
+// stripeMajor is the reference order for LogSnapshot.Keys: the keys
+// grouped by TagHash(k) & (logStripes-1), arrival order within a group.
+func stripeMajor(arrival []core.Key) []core.Key {
+	out := make([]core.Key, 0, len(arrival))
+	for s := uint32(0); s < logStripes; s++ {
+		for _, k := range arrival {
+			if hashing.TagHash(k)&(logStripes-1) == s {
+				out = append(out, k)
+			}
+		}
+	}
+	return out
+}
+
+// appendMixed feeds n pseudo-random keys to l through a mix of Append and
+// AppendBatch calls of varying sizes and returns them in arrival order.
+func appendMixed(l *KeyLog, r *rng.MT19937, n int) []core.Key {
+	arrival := make([]core.Key, 0, n)
+	for len(arrival) < n {
+		size := min(int(r.Uint32()%3000), n-len(arrival))
+		batch := make([]core.Key, size)
+		for i := range batch {
+			batch[i] = r.Uint32() % (1 << 20) // some duplicates
+		}
+		if size == 1 || r.Uint32()%4 == 0 {
+			for _, k := range batch {
+				l.Append(k)
+			}
+		} else {
+			l.AppendBatch(batch)
+		}
+		arrival = append(arrival, batch...)
+	}
+	return arrival
+}
+
+// TestKeyLogKeysStripeMajor pins the wire order of Keys across the
+// first-chunk and chunk-cap boundaries: adaptive envelopes and replayed
+// cuckoo layouts depend on it, so arrival order is a failure.
+func TestKeyLogKeysStripeMajor(t *testing.T) {
+	var l KeyLog
+	// The doubling chunks hold 2*maxChunkKeys keys; the rest fill chunks
+	// at the cap.
+	n := 4*maxChunkKeys + 1234
+	arrival := appendMixed(&l, rng.NewMT19937(7), n)
+	if got := l.Len(); got != uint64(n) {
+		t.Fatalf("Len = %d, want %d", got, n)
+	}
+	if first := cap(l.chunks[0]); first != firstChunkKeys {
+		t.Fatalf("first chunk holds %d keys, want %d", first, firstChunkKeys)
+	}
+	for i, c := range l.chunks[:len(l.chunks)-1] {
+		if len(c) != cap(c) || cap(c) > maxChunkKeys {
+			t.Fatalf("chunk %d: len %d cap %d (want full, cap <= %d)", i, len(c), cap(c), maxChunkKeys)
+		}
+	}
+	if last := l.chunks[len(l.chunks)-2]; cap(last) != maxChunkKeys {
+		t.Fatalf("chunks never reached the cap: %d", cap(last))
+	}
+	want := stripeMajor(arrival)
+	if slices.Equal(want, arrival) {
+		t.Fatal("reference equals arrival order; the test would not catch it")
+	}
+	if got := l.Snapshot().Keys(); !slices.Equal(got, want) {
+		t.Fatal("Keys is not stripe-major")
+	}
+	// Replay walks the same order, skipping repeats.
+	var replayed []core.Key
+	seen := make(map[core.Key]bool)
+	for _, k := range want {
+		if !seen[k] {
+			seen[k] = true
+			replayed = append(replayed, k)
+		}
+	}
+	var got []core.Key
+	if err := l.Snapshot().Replay(func(k core.Key) error { got = append(got, k); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, replayed) {
+		t.Fatal("Replay order differs from deduplicated Keys order")
+	}
+}
+
+// TestKeyLogSnapshotAcrossChunkBoundary takes a snapshot one key short of
+// a full first chunk; later appends fill that chunk and start new ones,
+// and the snapshot must not see any of them.
+func TestKeyLogSnapshotAcrossChunkBoundary(t *testing.T) {
+	var l KeyLog
+	r := rng.NewMT19937(11)
+	arrival := appendMixed(&l, r, firstChunkKeys-1)
+	snap := l.Snapshot()
+	appendMixed(&l, r, 3*firstChunkKeys)
+	l.Append(1 << 30)
+	if snap.Len() != uint64(len(arrival)) {
+		t.Fatalf("snapshot Len = %d, want %d", snap.Len(), len(arrival))
+	}
+	want := stripeMajor(arrival)
+	if got := snap.Keys(); !slices.Equal(got, want) {
+		t.Fatalf("snapshot Keys changed after later appends (len %d, want %d)", len(got), len(want))
+	}
+	seen := make(map[core.Key]bool)
+	if err := snap.Replay(func(k core.Key) error { seen[k] = true; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	distinct := make(map[core.Key]bool, len(arrival))
+	for _, k := range arrival {
+		distinct[k] = true
+	}
+	if len(seen) != len(distinct) {
+		t.Fatalf("replayed %d distinct keys, want %d", len(seen), len(distinct))
+	}
+}
+
+// BenchmarkKeyLogAppendBatch measures the insert path's log append: two
+// concurrent appenders write 2^24 keys into a fresh log in fixed-size
+// batches. ns/key is wall time per logged key.
+func BenchmarkKeyLogAppendBatch(b *testing.B) {
+	const total = 1 << 24
+	const appenders = 2
+	keys := make([]core.Key, total)
+	r := rng.NewMT19937(1)
+	for i := range keys {
+		keys[i] = r.Uint32()
+	}
+	for _, batch := range []int{1024, 65536} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.SetBytes(4 * total)
+			for i := 0; i < b.N; i++ {
+				var l KeyLog
+				var wg sync.WaitGroup
+				per := total / appenders
+				for w := 0; w < appenders; w++ {
+					wg.Add(1)
+					go func(part []core.Key) {
+						defer wg.Done()
+						for len(part) > 0 {
+							n := min(batch, len(part))
+							l.AppendBatch(part[:n])
+							part = part[n:]
+						}
+					}(keys[w*per : (w+1)*per])
+				}
+				wg.Wait()
+				if l.Len() != total {
+					b.Fatalf("Len = %d", l.Len())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/key")
+		})
 	}
 }

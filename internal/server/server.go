@@ -1354,9 +1354,10 @@ func (s *Server) LoadAll() (int, error) {
 }
 
 // probeBuffers is one data-plane request's reusable buffer set: the raw
-// body bytes, the decoded key batch, and (for probes) the selection
-// vector. Pooled on the server so the binary hot path runs allocation-free
-// at steady state.
+// body bytes (for probes, reused for the encoded response once the keys
+// are decoded), the decoded key batch, and (for probes) the selection
+// vector. Pooled on the server so the binary hot path runs
+// allocation-free at steady state.
 type probeBuffers struct {
 	raw  []byte
 	keys []perfilter.Key
@@ -1464,11 +1465,24 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 		bt.finish(s, http.StatusOK, len(keys), len(sel))
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Probed-Keys", fmt.Sprint(len(keys)))
-	w.Header().Set("X-Selected", fmt.Sprint(len(sel)))
+	// The selection goes out as little-endian uint32s, written once with
+	// its length declared. It is encoded into raw: the body is decoded by
+	// now, and a binary body already holds 4 bytes per probed key, which
+	// bounds the selection.
+	if cap(pb.raw) < 4*len(sel) {
+		pb.raw = make([]byte, 4*len(sel))
+	}
+	out := pb.raw[:4*len(sel)]
+	for i, v := range sel {
+		binary.LittleEndian.PutUint32(out[4*i:], v)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	h.Set("X-Probed-Keys", strconv.Itoa(len(keys)))
+	h.Set("X-Selected", strconv.Itoa(len(sel)))
 	w.WriteHeader(http.StatusOK)
-	if err := writeU32s(w, sel); err != nil {
+	if _, err := w.Write(out); err != nil {
 		// The status line is gone; aborting leaves the client a short
 		// read (Content-Length mismatch / cut connection), but the
 		// truncation must at least be visible server-side instead of
@@ -1539,29 +1553,6 @@ func (s *Server) readKeys(r *http.Request, pb *probeBuffers) ([]perfilter.Key, e
 	}
 	pb.keys = keys
 	return keys, nil
-}
-
-// writeU32s streams values as little-endian uint32s. It returns the first
-// write error — previously errors were swallowed mid-stream, leaving the
-// client a silently truncated selection vector the caller never learned
-// about.
-func writeU32s(w io.Writer, vals []uint32) error {
-	buf := make([]byte, 0, 4096)
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint32(buf, v)
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // remaining is total-used clamped at zero: rounding-up re-accounting (the

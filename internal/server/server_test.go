@@ -125,6 +125,13 @@ func TestLifecycleBinaryRoundTrip(t *testing.T) {
 	for i := 0; i+4 <= len(raw); i += 4 {
 		sel = append(sel, binary.LittleEndian.Uint32(raw[i:]))
 	}
+	// The selection is written once, with its length declared up front.
+	if resp.ContentLength != int64(len(raw)) ||
+		resp.Header.Get("X-Probed-Keys") != strconv.Itoa(len(probe)) ||
+		resp.Header.Get("X-Selected") != strconv.Itoa(len(sel)) {
+		t.Fatalf("probe headers: Content-Length %d, X-Probed-Keys %q, X-Selected %q for %d keys, %d selected",
+			resp.ContentLength, resp.Header.Get("X-Probed-Keys"), resp.Header.Get("X-Selected"), len(probe), len(sel))
+	}
 	// Every inserted position must be selected (no false negatives), and
 	// the vector must be ascending.
 	selSet := make(map[uint32]bool, len(sel))
