@@ -427,9 +427,10 @@ func TestInsertBatchErrFullRecovery(t *testing.T) {
 // stay on the stack, so the insert makes no allocation; Adaptive.Insert
 // adds only the key log's amortized chunk allocation. Sharded.InsertBatch
 // reuses pooled scatter scratch and each shard's run is one InsertBatch
-// call into the blocked kernel, so a batch makes no allocation either,
-// and Adaptive.InsertBatch adds only the key log's chunk allocation (at
-// most one per 64 Ki keys once the chunks reach their cap).
+// call into the kernel, so a batch makes no allocation either, over
+// blocked or cuckoo shards, and Adaptive.InsertBatch adds only the key
+// log's chunk allocation (at most one per 64 Ki keys once the chunks
+// reach their cap).
 func TestScalarInsertAllocs(t *testing.T) {
 	cfg := DefaultConfig(BlockedBloom)
 	sh, err := NewSharded(cfg, 1<<20, 4)
@@ -471,6 +472,21 @@ func TestScalarInsertAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("Sharded.InsertBatch(%d keys) allocates %.2f/op, want 0", len(batch), avg)
+	}
+	ck, err := NewSharded(DefaultConfig(Cuckoo), CuckooSizeForKeys(16, 2, 1<<18), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := range batch {
+			k++
+			batch[i] = k
+		}
+		if _, err := ck.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Sharded.InsertBatch(%d keys) over cuckoo shards allocates %.2f/op, want 0", len(batch), avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		for i := range batch {

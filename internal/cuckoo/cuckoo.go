@@ -15,13 +15,21 @@
 // which is self-inverse for any C (TestAltIndexInvolution verifies it).
 //
 // Tags are stored packed at their exact bit width, so SizeBits reflects the
-// true m = C·b·l the paper's space accounting uses. Batch lookups use
-// branch-free SWAR bucket comparisons when a bucket fits in a 64-bit word,
-// mirroring the paper's SIMD bucket probes. Like the reference
-// implementation, a single victim slot holds the last evicted tag when an
-// insert fails to place after the kick limit, keeping the no-false-negative
-// guarantee; the filter reports ErrFull only when the victim slot is
-// occupied too.
+// true m = C·b·l the paper's space accounting uses.
+//
+// Both batch kernels work on groups of 16 keys and hash the whole group
+// before touching the table, so the group's cache misses overlap (the
+// paper's §5 batched interface). ContainsBatch then tests both candidate
+// buckets of every key with one branch-free SWAR comparison each when a
+// bucket fits in a 64-bit word, mirroring the paper's SIMD bucket probes.
+// InsertBatch loads both candidate bucket words of every key in the group,
+// then places the keys in input order through the same code path as
+// Insert, so the table bytes and kick draws equal those of an Insert loop.
+//
+// Like the reference implementation, a single victim slot holds the last
+// evicted tag when an insert fails to place after the kick limit, keeping
+// the no-false-negative guarantee; the filter reports ErrFull only when the
+// victim slot is occupied too.
 //
 // Filters are safe for concurrent readers; writes need external
 // synchronization.
@@ -116,6 +124,10 @@ type Filter struct {
 	hasVictim bool
 
 	kickRNG rng.SplitMix64
+
+	// gathered absorbs the bucket words InsertBatch loads ahead of
+	// placement, so the compiler keeps those loads; nothing reads it.
+	gathered uint64
 }
 
 // New builds a filter of the requested size in bits, rounded up to whole
@@ -246,6 +258,13 @@ func (f *Filter) insertIntoBucket(bucket, tag uint32) bool {
 // for every successfully inserted key.
 func (f *Filter) Insert(key core.Key) error {
 	tag, i1 := f.tagAndIndex(key)
+	return f.place(tag, i1)
+}
+
+// place stores a tag whose primary bucket is i1 and is the one placement
+// path behind Insert and InsertBatch: the first empty slot of i1, then of
+// its alternate bucket i2, then the kick loop, then the victim slot.
+func (f *Filter) place(tag, i1 uint32) error {
 	if f.insertIntoBucket(i1, tag) {
 		f.count++
 		return nil
@@ -282,17 +301,6 @@ func (f *Filter) Insert(key core.Key) error {
 	f.victim, f.victimIdx, f.hasVictim = tag, cur, true
 	f.count++
 	return nil
-}
-
-// InsertBatch adds keys, one Insert per key, and stops at the first
-// ErrFull; it returns how many keys it inserted (keys[:n]).
-func (f *Filter) InsertBatch(keys []core.Key) (int, error) {
-	for i, k := range keys {
-		if err := f.Insert(k); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
 }
 
 // Contains reports whether key may be in the set (no false negatives for

@@ -1,6 +1,9 @@
 package cuckoo
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +140,10 @@ func TestAltIndexInvolution(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesScalar pins ContainsBatch to scalar Contains on every
+// geometry: over a 999-key probe (62 full groups and a tail), over every
+// length from 0 to 40 (every partial group), and again once the filter
+// holds a victim, which ContainsBatch answers through Contains.
 func TestBatchMatchesScalar(t *testing.T) {
 	for _, p := range allParams() {
 		p := p
@@ -145,28 +152,124 @@ func TestBatchMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fill(t, f, 0.4*loadLimit(p.BucketSize), 3)
+			inserted := fill(t, f, 0.4*loadLimit(p.BucketSize), 3)
 			r := rng.NewMT19937(77)
-			probe := make([]uint32, 999) // odd size exercises the tail
+			probe := make([]uint32, 999)
 			for i := range probe {
-				probe[i] = r.Uint32()
-			}
-			sel := f.ContainsBatch(probe, nil)
-			j := 0
-			for i, k := range probe {
-				want := f.Contains(k)
-				got := j < len(sel) && sel[j] == uint32(i)
-				if got != want {
-					t.Fatalf("position %d: batch=%v scalar=%v", i, got, want)
-				}
-				if got {
-					j++
+				// Every third key is a member, so both answers occur.
+				if i%3 == 0 && i/3 < len(inserted) {
+					probe[i] = inserted[i/3]
+				} else {
+					probe[i] = r.Uint32()
 				}
 			}
-			if j != len(sel) {
-				t.Fatalf("%d unexplained selection entries", len(sel)-j)
+			checkBatch := func(stage string) {
+				t.Helper()
+				for n := 0; n <= 40; n++ {
+					checkContainsBatch(t, f, probe[:n], stage)
+				}
+				checkContainsBatch(t, f, probe, stage)
 			}
+			checkBatch("load 0.4")
+			for i := 0; !f.hasVictim; i++ {
+				if i == 1<<20 {
+					t.Fatal("no insert parked a victim")
+				}
+				if err := f.Insert(r.Uint32()); err != nil {
+					t.Fatalf("ErrFull before any victim: %v", err)
+				}
+			}
+			checkBatch("with victim")
 		})
+	}
+}
+
+// checkContainsBatch fails the test unless ContainsBatch selects exactly
+// the positions of probe that scalar Contains answers true for.
+func checkContainsBatch(t *testing.T, f *Filter, probe []uint32, stage string) {
+	t.Helper()
+	sel := f.ContainsBatch(probe, nil)
+	j := 0
+	for i, k := range probe {
+		want := f.Contains(k)
+		got := j < len(sel) && sel[j] == uint32(i)
+		if got != want {
+			t.Fatalf("%s, %d keys, position %d: batch=%v scalar=%v", stage, len(probe), i, got, want)
+		}
+		if got {
+			j++
+		}
+	}
+	if j != len(sel) {
+		t.Fatalf("%s, %d keys: %d unexplained selection entries", stage, len(probe), len(sel)-j)
+	}
+}
+
+// TestInsertBatchMatchesScalar pins InsertBatch to a loop of scalar Insert
+// calls that stops at the first error: on every geometry, in both
+// addressing modes, over batches of every length from 0 to 40 and of 999
+// keys, repeated until the filter refuses keys with ErrFull. After every
+// batch the returned count and error, Count and the serialized bytes must
+// match. Placing a group's keys in any order but the input order changes
+// which slots and kicks they take, so the bytes catch that too.
+func TestInsertBatchMatchesScalar(t *testing.T) {
+	lengths := make([]int, 0, 42)
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 999)
+	midGroupFull := false
+	for _, p := range allParams() {
+		for _, mBits := range []uint64{1 << 12, 1 << 16} {
+			batch, err := New(p, mBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalar, err := New(p, mBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.NewMT19937(uint32(mBits) + p.TagBits*10 + p.BucketSize)
+			full := false
+			for round := 0; !full; round++ {
+				if round == 100 {
+					t.Fatalf("%s, %d bits: never full after %d rounds", p, mBits, round)
+				}
+				for _, length := range lengths {
+					keys := make([]uint32, length)
+					for i := range keys {
+						keys[i] = r.Uint32()
+					}
+					n, err := batch.InsertBatch(keys)
+					wantN, wantErr := len(keys), error(nil)
+					for i, k := range keys {
+						if wantErr = scalar.Insert(k); wantErr != nil {
+							wantN = i
+							break
+						}
+					}
+					step := fmt.Sprintf("%s, %d bits, round %d, %d keys", p, mBits, round, length)
+					if n != wantN || err != wantErr {
+						t.Fatalf("%s: InsertBatch = (%d, %v), Insert loop = (%d, %v)", step, n, err, wantN, wantErr)
+					}
+					if batch.Count() != scalar.Count() {
+						t.Fatalf("%s: Count %d, Insert loop %d", step, batch.Count(), scalar.Count())
+					}
+					a, _ := batch.MarshalBinary()
+					b, _ := scalar.MarshalBinary()
+					if !bytes.Equal(a, b) {
+						t.Fatalf("%s: InsertBatch bytes differ from the Insert loop", step)
+					}
+					if err != nil {
+						full = true
+						midGroupFull = midGroupFull || n%groupWidth != 0
+					}
+				}
+			}
+		}
+	}
+	if !midGroupFull {
+		t.Fatal("no batch hit ErrFull inside a group")
 	}
 }
 
@@ -535,6 +638,23 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// benchMiB is the filter size of the memory-bound benchmark cases: the
+// size loadbench's mixed workload grows its cuckoo filter to in 20 s,
+// several times the L2 and beyond most of the L3, so every bucket probe
+// is a cache miss the kernels must overlap.
+const benchMiB = 37
+
+// benchRun is the key count of one batch call in the memory-bound cases:
+// a 1024-key request split over 8 shards.
+const benchRun = 128
+
+// benchParams is the server's default cuckoo geometry.
+var benchParams = Params{TagBits: 16, BucketSize: 2, Magic: true}
+
+// BenchmarkContainsBatch probes 1024-key batches of a 2^17-bit filter,
+// which sits in L1, on SWAR and non-SWAR geometries, and 128-key runs of
+// a 37 MiB default filter at load 0.5, where memory-level parallelism
+// decides the cost.
 func BenchmarkContainsBatch(b *testing.B) {
 	for _, p := range []Params{
 		{TagBits: 16, BucketSize: 2},
@@ -561,6 +681,82 @@ func BenchmarkContainsBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sel = f.ContainsBatch(probe, sel[:0])
 			}
+		})
+	}
+	b.Run(fmt.Sprintf("%s/%dMiB", benchParams, benchMiB), func(b *testing.B) {
+		f, err := New(benchParams, benchMiB<<23)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.NewMT19937(1)
+		fillKeys := make([]uint32, f.NumBuckets()) // load 0.5 at b = 2
+		for i := range fillKeys {
+			fillKeys[i] = r.Uint32()
+		}
+		if _, err := f.InsertBatch(fillKeys); err != nil {
+			b.Fatal(err)
+		}
+		probe := fillKeys[:1<<20] // overwritten: reuse the memory
+		for i := range probe {
+			probe[i] = r.Uint32()
+		}
+		sel := make([]uint32, 0, benchRun)
+		off := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sel = f.ContainsBatch(probe[off:off+benchRun], sel[:0])
+			off = (off + benchRun) % len(probe)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRun), "ns/key")
+	})
+}
+
+// BenchmarkInsertBatch compares a loop of scalar Insert calls with
+// InsertBatch on a 37 MiB default filter. Each iteration restores the
+// filter at load 0.25 (untimed) and fills it to load 0.7 in 128-key runs,
+// the load range and run length of loadbench's mixed workload.
+func BenchmarkInsertBatch(b *testing.B) {
+	f, err := New(benchParams, benchMiB<<23)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slots := int(f.NumBuckets()) * int(benchParams.BucketSize)
+	r := rng.NewMT19937(1)
+	keys := make([]uint32, slots*7/10)
+	for i := range keys {
+		keys[i] = r.Uint32()
+	}
+	prefill := slots / 4
+	if _, err := f.InsertBatch(keys[:prefill]); err != nil {
+		b.Fatal(err)
+	}
+	startWords, startCount := slices.Clone(f.words), f.count
+	timed := keys[prefill:]
+	for _, scalar := range []bool{true, false} {
+		name := "batch"
+		if scalar {
+			name = "scalar"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(f.words, startWords)
+				f.count = startCount
+				b.StartTimer()
+				for off := 0; off < len(timed); off += benchRun {
+					run := timed[off:min(off+benchRun, len(timed))]
+					if scalar {
+						for _, k := range run {
+							if err := f.Insert(k); err != nil {
+								b.Fatal(err)
+							}
+						}
+					} else if _, err := f.InsertBatch(run); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(timed)), "ns/key")
 		})
 	}
 }

@@ -5,11 +5,44 @@ import (
 	"perfilter/internal/simd"
 )
 
-// batchUnroll matches the blocked-Bloom kernels: per iteration the hashes
-// and bucket addresses of eight keys are computed before any table words
-// are touched — the software analogue of the paper's gather-based SIMD
-// probe (§5.1, see package simd).
-const batchUnroll = simd.Width
+// groupWidth is how many keys both batch kernels hash before they touch
+// the table: the software analogue of the paper's gather-based SIMD probe
+// (§5.1, see package simd). It is twice simd.Width, like the blocked-Bloom
+// kernels' unroll, so a group keeps 32 independent bucket loads in flight.
+const groupWidth = 2 * simd.Width
+
+// InsertBatch adds keys and stops at the first ErrFull, returning how
+// many keys it inserted (keys[:n]). Each group of groupWidth keys runs in
+// three phases: hash every key to its tag and bucket pair, load both
+// candidate bucket words of every key, then place the keys in input order
+// through place, the path Insert takes. The loads of the second phase
+// overlap their cache misses, so the third finds its buckets in cache; the
+// table bytes, count and kick draws equal those of calling Insert per key.
+func (f *Filter) InsertBatch(keys []core.Key) (int, error) {
+	var (
+		words       = f.words
+		bb          = uint64(f.bucketBits)
+		tag, ia, ib [groupWidth]uint32 // tag and candidate buckets
+	)
+	for i := 0; i < len(keys); i += groupWidth {
+		group := keys[i:min(i+groupWidth, len(keys))]
+		for j, key := range group {
+			t, i1 := f.tagAndIndex(key)
+			tag[j], ia[j], ib[j] = t, i1, f.altIndex(i1, t)
+		}
+		var gathered uint64
+		for j := range group {
+			gathered ^= words[uint64(ia[j])*bb>>6] ^ words[uint64(ib[j])*bb>>6]
+		}
+		f.gathered ^= gathered
+		for j := range group {
+			if err := f.place(tag[j], ia[j]); err != nil {
+				return i + j, err
+			}
+		}
+	}
+	return len(keys), nil
+}
 
 // ContainsBatch appends the positions of possibly-contained keys to sel and
 // returns the extended selection vector. Results are identical to scalar
@@ -74,39 +107,31 @@ func broadcast(tag uint32, l, b uint32) uint64 {
 	return v
 }
 
-// loadBucket reads a whole bucket as one word; swarOK guarantees buckets
-// never straddle word boundaries.
-func (f *Filter) loadBucket(bucket uint32) uint64 {
-	bit := uint64(bucket) * uint64(f.bucketBits)
-	if f.bucketBits == 64 {
-		return f.words[bit>>6]
-	}
-	_, _, mask := f.swarConsts()
-	return f.words[bit>>6] >> (bit & 63) & mask
-}
-
-// batchSWAR is the software-SIMD probe: phase 1 computes tags and both
-// candidate bucket addresses for eight keys; phase 2 gathers the bucket
-// words and tests all slots of both buckets branch-free.
+// batchSWAR is the software-SIMD probe. Per group of groupWidth keys (the
+// last group may be shorter), phase 1 computes the broadcast tags and both
+// candidate bucket addresses; phase 2 gathers the bucket words and tests
+// all slots of both buckets branch-free. swarOK guarantees a bucket never
+// straddles a word, so one shifted, masked word is the whole bucket.
 func (f *Filter) batchSWAR(keys []core.Key, out []uint32, cnt int) int {
-	lo, hi, _ := f.swarConsts()
-	l, b := f.params.TagBits, f.params.BucketSize
-	n := len(keys)
-	i := 0
+	lo, hi, mask := f.swarConsts()
 	var (
-		bc     [batchUnroll]uint64 // broadcast tag
-		a1, a2 [batchUnroll]uint32 // candidate buckets
+		l, b   = f.params.TagBits, f.params.BucketSize
+		bb     = uint64(f.bucketBits)
+		words  = f.words
+		bc     [groupWidth]uint64 // broadcast tag
+		a1, a2 [groupWidth]uint64 // first bit of each candidate bucket
 	)
-	for ; i+batchUnroll <= n; i += batchUnroll {
-		for j := 0; j < batchUnroll; j++ {
-			tag, i1 := f.tagAndIndex(keys[i+j])
+	for i := 0; i < len(keys); i += groupWidth {
+		group := keys[i:min(i+groupWidth, len(keys))]
+		for j, key := range group {
+			tag, i1 := f.tagAndIndex(key)
 			bc[j] = broadcast(tag, l, b)
-			a1[j] = i1
-			a2[j] = f.altIndex(i1, tag)
+			a1[j] = uint64(i1) * bb
+			a2[j] = uint64(f.altIndex(i1, tag)) * bb
 		}
-		for j := 0; j < batchUnroll; j++ {
-			x1 := f.loadBucket(a1[j]) ^ bc[j]
-			x2 := f.loadBucket(a2[j]) ^ bc[j]
+		for j := range group {
+			x1 := words[a1[j]>>6]>>(a1[j]&63)&mask ^ bc[j]
+			x2 := words[a2[j]>>6]>>(a2[j]&63)&mask ^ bc[j]
 			// Zero-lane test on both buckets at once: a lane of x is zero
 			// iff the tag matched that slot.
 			z := (x1 - lo) & ^x1 & hi
@@ -118,14 +143,6 @@ func (f *Filter) batchSWAR(keys []core.Key, out []uint32, cnt int) int {
 			}
 			cnt += inc
 		}
-	}
-	for ; i < n; i++ {
-		out[cnt] = uint32(i)
-		var inc int
-		if f.Contains(keys[i]) {
-			inc = 1
-		}
-		cnt += inc
 	}
 	return cnt
 }
