@@ -260,12 +260,13 @@ func (a *Adaptive) ContainsBatchCtx(ctx context.Context, keys []Key, sel []uint3
 	return sel
 }
 
-// SizeBits implements Filter (the live filter only; the key log's 32 bits
-// per logged key are reported separately by LogBits).
+// SizeBits implements Filter (the live filter only; the key log's
+// footprint is reported separately by LogBits).
 func (a *Adaptive) SizeBits() uint64 { return a.s.SizeBits() }
 
-// LogBits returns the key log's current footprint in bits.
-func (a *Adaptive) LogBits() uint64 { return a.log.Load().Len() * 32 }
+// LogBits returns the key log's current footprint in bits: its sealed
+// runs' encoded size plus 32 bits per key not yet sealed.
+func (a *Adaptive) LogBits() uint64 { return a.log.Load().Bits() }
 
 // FPR implements Filter.
 func (a *Adaptive) FPR(n uint64) float64 { return a.s.FPR(n) }
@@ -512,7 +513,7 @@ func (a *Adaptive) Reoptimize(ctx context.Context, force bool, admit func(mBits 
 		}
 	}
 	if migrate {
-		build := func() error { return a.migrateLocked(ctx, adv.Best.Config, adv.Best.MBits) }
+		build := func() error { return a.migrateLocked(ctx, adv.Best.Config, adv.Best.MBits, &d) }
 		if admit == nil {
 			err = build()
 		} else {
@@ -562,21 +563,28 @@ func (a *Adaptive) Migrate(ctx context.Context, cfg Config, mBits uint64) error 
 // before the publication would leave a gap where a whole append+insert
 // could fall between the two.) The replay is deduplicated so a
 // multiply-inserted key cannot saturate a cuckoo bucket — and so a
-// duplicated key cannot make an xor target's peeling unsolvable.
+// duplicated key cannot make an xor target's peeling unsolvable. The
+// replayed key count and the migration's wall time go into d.
 //
 // An immutable (xor) target needs no special path here: the staged
 // shards buffer the replayed keys and the sharded rotation seals them
 // into solved tables before the swap; writes racing the window land in
 // the shards' overflow buffers and stay queryable.
-func (a *Adaptive) migrateLocked(ctx context.Context, cfg Config, mBits uint64) error {
+func (a *Adaptive) migrateLocked(ctx context.Context, cfg Config, mBits uint64, d *adaptive.Decision) error {
 	if !a.canMigrate() {
 		return fmt.Errorf("perfilter: adaptive filter cannot migrate without a complete key log")
 	}
 	prev := a.s.Config()
 	log := a.log.Load()
-	if err := a.s.Migrate(ctx, cfg, mBits, func(insert func(Key) error) error {
-		return log.Snapshot().Replay(insert)
-	}); err != nil {
+	start := time.Now()
+	err := a.s.Migrate(ctx, cfg, mBits, func(insert func(Key) error) error {
+		return log.Snapshot().Replay(func(k Key) error {
+			d.ReplayedKeys++
+			return insert(k)
+		})
+	})
+	d.MigrationNs = time.Since(start).Nanoseconds()
+	if err != nil {
 		return err
 	}
 	countMigration(prev.Kind, cfg.Kind)
@@ -629,7 +637,7 @@ func newDecision(n uint64, cur, best Config, bestMBits uint64, reason string) ad
 // migrateAs migrates to cfg/mBits and records d as the completed
 // migration. Callers hold mu.
 func (a *Adaptive) migrateAs(ctx context.Context, cfg Config, mBits uint64, d adaptive.Decision) error {
-	if err := a.migrateLocked(ctx, cfg, mBits); err != nil {
+	if err := a.migrateLocked(ctx, cfg, mBits, &d); err != nil {
 		return err
 	}
 	d.Migrated = true

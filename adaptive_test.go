@@ -394,6 +394,62 @@ func TestAdaptiveEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSealedLogRoundTrip migrates and round-trips an adaptive
+// filter whose key log holds more than one sealed run: every acknowledged
+// key must probe positive after Bloom→Cuckoo, after Marshal/Unmarshal and
+// after Cuckoo→Bloom, and each migration's decision records the keys it
+// replayed.
+func TestAdaptiveSealedLogRoundTrip(t *testing.T) {
+	const n = 150_000
+	a, err := NewAdaptive(adaptiveBloomCfg, 16*n, AdaptiveOptions{Workload: Workload{Tw: 5000}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	seen := make(map[Key]bool, n)
+	keys := make([]Key, 0, n)
+	for len(keys) < n {
+		if k := Key(rng.Uint32()); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	for i := 0; i < n; i += 4096 {
+		if _, err := a.InsertBatch(keys[i:min(i+4096, n)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allPresent := func(f Filter, stage string) {
+		t.Helper()
+		if sel := f.ContainsBatch(keys, nil); len(sel) != n {
+			t.Fatalf("%s: %d of %d keys present", stage, len(sel), n)
+		}
+	}
+	migrate := func(f *Adaptive, cfg Config, mBits uint64) {
+		t.Helper()
+		if err := f.Migrate(context.Background(), cfg, mBits); err != nil {
+			t.Fatal(err)
+		}
+		d, ok := f.LastMigration()
+		if !ok || d.ReplayedKeys != n || d.MigrationNs <= 0 {
+			t.Fatalf("migration decision records %d replayed keys in %d ns, want %d keys", d.ReplayedKeys, d.MigrationNs, n)
+		}
+	}
+	migrate(a, adaptiveCuckooCfg, 2*CuckooSizeForKeys(16, 2, n))
+	allPresent(a, "after Bloom→Cuckoo")
+	data, err := Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := UnmarshalAdaptive(data, AdaptiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allPresent(b, "after Marshal/Unmarshal")
+	migrate(b, adaptiveBloomCfg, 16*n)
+	allPresent(b, "after Cuckoo→Bloom")
+}
+
 // TestAdaptiveErrFullRecovery fills a deliberately undersized cuckoo
 // filter far past its capacity: the emergency path must grow it live and
 // every insert must be acknowledged and retained.

@@ -1,12 +1,18 @@
 package perfilter
 
 import (
+	"cmp"
+	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"perfilter/internal/hashing"
 )
 
 // goldenCapture makes the golden tests log their current values in
@@ -172,7 +178,7 @@ var goldenEnvelopes = map[string]string{
 	"sharded-cuckoo":   "33044:4ece7649219d1391",
 	"sharded-exact":    "65704:7781e385ce24f545",
 	"sharded-fuse8":    "4328:a790110bdc576c86",
-	"adaptive":         "37064:339e2dae7b2ef836",
+	"adaptive":         "37064:c0f1568a5856fade",
 }
 
 // TestGoldenEnvelopes pins the serialized bytes of every wire format, and
@@ -203,6 +209,71 @@ func TestGoldenEnvelopes(t *testing.T) {
 		if got, want := rt.ContainsBatch(probes, nil), g.f.ContainsBatch(probes, nil); !equalSel(got, want) {
 			t.Errorf("%s: round-tripped probe results differ", g.name)
 		}
+	}
+}
+
+// goldenAdaptiveStripeMajor is the adaptive envelope's digest as written
+// before the key log sealed runs: the same bytes, but with the key section
+// in stripe-major order (grouped by TagHash(k) & 15, arrival order within a
+// group) instead of stably sorted by k>>16.
+const goldenAdaptiveStripeMajor = "37064:339e2dae7b2ef836"
+
+// TestGoldenAdaptiveStripeMajorEnvelope shows that the adaptive digest
+// moved only because the envelope's keys were reordered, and that an
+// envelope in the earlier order still decodes into a filter that holds
+// every key and can migrate.
+func TestGoldenAdaptiveStripeMajorEnvelope(t *testing.T) {
+	var a Filter
+	for _, g := range goldenFilters(t) {
+		if g.name == "adaptive" {
+			a = g.f
+		}
+	}
+	b, err := Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden adaptive filter logged goldenKeys(1000) in one batch.
+	arrival := goldenKeys(1000)
+	sorted := slices.Clone(arrival)
+	slices.SortStableFunc(sorted, func(x, y Key) int { return cmp.Compare(x>>16, y>>16) })
+	section := b[adaptiveHeaderLen : adaptiveHeaderLen+4*binary.LittleEndian.Uint64(b[64:])]
+	if len(section) != 4*len(arrival) {
+		t.Fatalf("envelope carries %d keys, want %d", len(section)/4, len(arrival))
+	}
+	i := 0
+	for _, k := range sorted {
+		if got := binary.LittleEndian.Uint32(section[i:]); got != k {
+			t.Fatalf("envelope key %d is %d, want %d: keys are not stably sorted by k>>16", i/4, got, k)
+		}
+		i += 4
+	}
+	i = 0
+	for s := uint32(0); s < 16; s++ {
+		for _, k := range arrival {
+			if hashing.TagHash(k)&15 == s {
+				binary.LittleEndian.PutUint32(section[i:], k)
+				i += 4
+			}
+		}
+	}
+	sum := sha256.Sum256(b)
+	if got := fmt.Sprintf("%d:%s", len(b), hex.EncodeToString(sum[:8])); got != goldenAdaptiveStripeMajor {
+		t.Fatalf("stripe-major envelope digest %s, want %s: more than the key order changed", got, goldenAdaptiveStripeMajor)
+	}
+	rt, err := UnmarshalAdaptive(b, AdaptiveOptions{})
+	if err != nil {
+		t.Fatalf("stripe-major envelope: %v", err)
+	}
+	if sel := rt.ContainsBatch(arrival, nil); len(sel) != len(arrival) {
+		t.Fatalf("%d of %d keys present after decoding", len(sel), len(arrival))
+	}
+	if err := rt.Migrate(context.Background(), Config{Kind: Cuckoo, TagBits: 16, BucketSize: 2, Magic: true},
+		2*CuckooSizeForKeys(16, 2, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if sel := rt.ContainsBatch(arrival, nil); len(sel) != len(arrival) {
+		t.Fatalf("%d of %d keys present after migrating", len(sel), len(arrival))
 	}
 }
 

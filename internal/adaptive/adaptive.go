@@ -1,10 +1,10 @@
 // Package adaptive holds the workload-tracking and control-loop substrate
 // behind perfilter.NewAdaptive: cheap atomic workload counters, the
 // hysteresis policy deciding when a re-advised configuration is worth a
-// live migration, an append-only key log (one lock, chunks in arrival
-// order) that makes migrations lossless (any filter kind can be rebuilt
-// from it), and the Decision record each re-optimization pass leaves
-// behind.
+// live migration, an append-only key log (a raw tail under one lock,
+// sealed into compact runs off the insert path) that makes migrations
+// lossless (any filter kind can be rebuilt from it), and the Decision
+// record each re-optimization pass leaves behind.
 //
 // The paper's central observation is that the performance-optimal filter
 // *changes* as the workload moves (n and tw shift the Bloom/Cuckoo
@@ -172,4 +172,10 @@ type Decision struct {
 	// time — the counters the σ estimate and the read-mostly gate were
 	// computed from.
 	Window Counters `json:"window,omitempty"`
+	// ReplayedKeys and MigrationNs are what a migration cost: the
+	// distinct keys replayed from the key log into the new generation, and
+	// the wall time of the whole rebuild. Both are zero when no migration
+	// ran.
+	ReplayedKeys uint64 `json:"replayed_keys,omitempty"`
+	MigrationNs  int64  `json:"migration_ns,omitempty"`
 }

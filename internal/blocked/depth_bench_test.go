@@ -101,15 +101,23 @@ func checkGenericParity[W Word](t *testing.T, f *Filter[W], u int, kernel kernel
 }
 
 // BenchmarkPipelineDepth probes the two pipelined kernels at an
-// L1-resident and a cache-missing filter size — the measurement behind
-// the registerUnroll/cacheUnroll depth constants in kernels.go.
+// L1-resident and two cache-missing filter sizes — the measurement behind
+// the registerUnroll/cacheUnroll depth constants in kernels.go. Each
+// iteration probes the next 1024 of 2^22 random keys, so at the larger
+// sizes the probed lines are not left in cache by earlier iterations.
 func BenchmarkPipelineDepth(b *testing.B) {
+	const batch = 1024
 	configs := []struct {
 		name string
 		p    Params
 	}{
 		{"register", RegisterBlockedParams(64, 8, false)},
 		{"cachesec", DefaultParams()},
+	}
+	r := rng.NewMT19937(1)
+	probe := make([]uint32, 1<<22)
+	for i := range probe {
+		probe[i] = r.Uint32()
 	}
 	for _, size := range []uint64{1 << 17, 1 << 26, 1 << 29} {
 		for _, cfg := range configs {
@@ -118,20 +126,18 @@ func BenchmarkPipelineDepth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r := rng.NewMT19937(1)
 				for i := 0; i < 1<<13; i++ {
 					f.Insert(r.Uint32())
 				}
-				probe := make([]uint32, 1024)
-				for i := range probe {
-					probe[i] = r.Uint32()
-				}
-				sel := make([]uint32, 0, 1024)
-				b.SetBytes(int64(len(probe) * 4))
+				sel := make([]uint32, 0, batch)
+				b.SetBytes(batch * 4)
 				b.ResetTimer()
+				off := 0
 				for i := 0; i < b.N; i++ {
-					sel = f.ContainsBatch(probe, sel[:0])
+					sel = f.ContainsBatch(probe[off:off+batch], sel[:0])
+					off = (off + batch) % len(probe)
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 			})
 		}
 	}

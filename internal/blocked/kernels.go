@@ -49,6 +49,19 @@ import (
 // addresses and masks per key (8× the register kernel's state), showed
 // the same shape. Both kernels therefore precompute two simd.Width
 // groups ahead of the load phase.
+//
+// Those depth comparisons reprobed one 1024-key batch per iteration, so
+// at the larger sizes the probed lines were cache-resident after the
+// first pass and the cache-missing case was never measured. With the
+// benchmark streaming through 2^22 keys, the depths above read (ns/key,
+// three runs of 20000 iterations, -cpu 2, 2-vCPU Xeon KVM guest):
+//
+//	size       register     cachesec
+//	2^17 bits  53.4–59.3    20.6–25.9
+//	2^26 bits  74.2–91.0    32.9–41.5
+//	2^29 bits  80.9–91.0    55.0–58.4
+//
+// The depths have not been re-chosen against these numbers.
 const (
 	registerUnroll = 2 * simd.Width // batchRegister
 	cacheUnroll    = 2 * simd.Width // both cache-sectorized kernels

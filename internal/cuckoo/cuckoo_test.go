@@ -143,8 +143,11 @@ func TestAltIndexInvolution(t *testing.T) {
 // TestBatchMatchesScalar pins ContainsBatch to scalar Contains on every
 // geometry: over a 999-key probe (62 full groups and a tail), over every
 // length from 0 to 40 (every partial group), and again once the filter
-// holds a victim, which ContainsBatch answers through Contains.
+// holds a victim. With a victim, the SWAR geometries must still take the
+// SWAR kernel, and it must find every inserted key, the victim's owner
+// included.
 func TestBatchMatchesScalar(t *testing.T) {
+	swarWithVictim := 0
 	for _, p := range allParams() {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
@@ -175,12 +178,26 @@ func TestBatchMatchesScalar(t *testing.T) {
 				if i == 1<<20 {
 					t.Fatal("no insert parked a victim")
 				}
-				if err := f.Insert(r.Uint32()); err != nil {
+				k := r.Uint32()
+				if err := f.Insert(k); err != nil {
 					t.Fatalf("ErrFull before any victim: %v", err)
 				}
+				inserted = append(inserted, k)
 			}
 			checkBatch("with victim")
+			checkContainsBatch(t, f, inserted, "with victim, inserted keys")
+			if !f.swarOK() {
+				return
+			}
+			swarWithVictim++
+			out := make([]uint32, len(inserted))
+			if got := f.batchSWAR(inserted, out, 0); got != len(inserted) {
+				t.Fatalf("SWAR kernel with a victim finds %d of %d inserted keys", got, len(inserted))
+			}
 		})
+	}
+	if swarWithVictim == 0 {
+		t.Fatal("no SWAR geometry reached the with-victim stage")
 	}
 }
 

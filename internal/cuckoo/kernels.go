@@ -48,10 +48,10 @@ func (f *Filter) InsertBatch(keys []core.Key) (int, error) {
 // returns the extended selection vector. Results are identical to scalar
 // Contains. Buckets that fit in a 64-bit word with 8/16/32-bit tags use a
 // branch-free SWAR comparison ("one comparison per bucket"); other
-// configurations and filters holding a victim fall back to the scalar path.
+// configurations fall back to the scalar path.
 func (f *Filter) ContainsBatch(keys []core.Key, sel core.SelVec) core.SelVec {
 	buf, cnt := simd.GrowSel(sel, len(keys))
-	if f.swarOK() && !f.hasVictim {
+	if f.swarOK() {
 		cnt = f.batchSWAR(keys, buf, cnt)
 	} else {
 		for i, key := range keys {
@@ -111,7 +111,9 @@ func broadcast(tag uint32, l, b uint32) uint64 {
 // last group may be shorter), phase 1 computes the broadcast tags and both
 // candidate bucket addresses; phase 2 gathers the bucket words and tests
 // all slots of both buckets branch-free. swarOK guarantees a bucket never
-// straddles a word, so one shifted, masked word is the whole bucket.
+// straddles a word, so one shifted, masked word is the whole bucket. A
+// filter holding a victim also matches each group against the victim's
+// tag and bucket, as Contains does.
 func (f *Filter) batchSWAR(keys []core.Key, out []uint32, cnt int) int {
 	lo, hi, mask := f.swarConsts()
 	var (
@@ -120,7 +122,11 @@ func (f *Filter) batchSWAR(keys []core.Key, out []uint32, cnt int) int {
 		words  = f.words
 		bc     [groupWidth]uint64 // broadcast tag
 		a1, a2 [groupWidth]uint64 // first bit of each candidate bucket
+		vic    [groupWidth]uint64 // nonzero: the key matches the victim
 	)
+	// The victim as batchSWAR sees a key: its broadcast tag and the first
+	// bit of its bucket.
+	vbc, va := broadcast(f.victim, l, b), uint64(f.victimIdx)*bb
 	for i := 0; i < len(keys); i += groupWidth {
 		group := keys[i:min(i+groupWidth, len(keys))]
 		for j, key := range group {
@@ -129,6 +135,14 @@ func (f *Filter) batchSWAR(keys []core.Key, out []uint32, cnt int) int {
 			a1[j] = uint64(i1) * bb
 			a2[j] = uint64(f.altIndex(i1, tag)) * bb
 		}
+		if f.hasVictim {
+			for j := range group {
+				vic[j] = 0
+				if bc[j] == vbc && (a1[j] == va || a2[j] == va) {
+					vic[j] = 1
+				}
+			}
+		}
 		for j := range group {
 			x1 := words[a1[j]>>6]>>(a1[j]&63)&mask ^ bc[j]
 			x2 := words[a2[j]>>6]>>(a2[j]&63)&mask ^ bc[j]
@@ -136,6 +150,7 @@ func (f *Filter) batchSWAR(keys []core.Key, out []uint32, cnt int) int {
 			// iff the tag matched that slot.
 			z := (x1 - lo) & ^x1 & hi
 			z |= (x2 - lo) & ^x2 & hi
+			z |= vic[j]
 			out[cnt] = uint32(i + j)
 			var inc int
 			if z != 0 {

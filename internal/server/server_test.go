@@ -735,6 +735,12 @@ func TestAutotuneRecordsEveryPass(t *testing.T) {
 		if d["current_rho"].(float64) <= 0 || d["best_rho"].(float64) <= 0 || d["reason"] != reasons[i] {
 			t.Errorf("decision %d = %v, want modeled overheads and the reason %q", i, d, reasons[i])
 		}
+		// A migration's decision carries its cost; a decline has none.
+		replayed, _ := d["replayed_keys"].(float64)
+		ns, _ := d["migration_ns"].(float64)
+		if migrated := d["migrated"] == true; migrated != (replayed > 0 && ns > 0) {
+			t.Errorf("decision %d (migrated %v) reports %v replayed keys in %v ns", i, migrated, replayed, ns)
+		}
 	}
 	if got := counter(t, ts, evals) - evals0; got != uint64(len(reasons)) {
 		t.Errorf("%s rose by %d over %d passes", evals, got, len(reasons))
