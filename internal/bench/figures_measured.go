@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"perfilter/internal/blocked"
+	"perfilter/internal/calibrate"
 	"perfilter/internal/core"
 	"perfilter/internal/cuckoo"
 	"perfilter/internal/model"
@@ -23,38 +24,27 @@ func QuickEffort() Effort { return Effort{MinTime: 2 * time.Millisecond} }
 // FullEffort is the CLI default.
 func FullEffort() Effort { return Effort{MinTime: 100 * time.Millisecond} }
 
-// maxFill caps the keys inserted while building measurement filters. The
-// branch-free kernels' lookup cost is load-independent (every probe reads
-// the same words regardless of their content), so capping keeps huge-filter
-// experiments affordable without changing what is measured.
-const maxFill = 2 << 20
-
-// buildBlocked constructs and fills a blocked filter at 12 bits/key.
-func buildBlocked(p blocked.Params, mBits uint64) blocked.Probe {
-	f, err := blocked.New(p, mBits)
+// build constructs and fills c at mBits with calibrate's primitive; an
+// error is a bug in the experiment's configuration.
+func build(c model.Config, mBits uint64) core.Filter {
+	f, err := calibrate.Build(c, mBits)
 	if err != nil {
 		panic(err)
 	}
-	n := int(mBits / 12)
-	if n > maxFill {
-		n = maxFill
-	}
-	fill(func(k core.Key) bool { f.Insert(k); return true }, n, 0xF11)
 	return f
 }
 
-// buildCuckoo constructs and fills a cuckoo filter to 80% of its load limit.
-func buildCuckoo(p cuckoo.Params, mBits uint64) *cuckoo.Filter {
-	f, err := cuckoo.New(p, mBits)
-	if err != nil {
-		panic(err)
-	}
-	n := int(0.8 * float64(f.NumBuckets()) * float64(p.BucketSize))
-	if n > maxFill {
-		n = maxFill
-	}
-	fill(func(k core.Key) bool { return f.Insert(k) == nil }, n, 0xF11)
-	return f
+func bloomConfig(p blocked.Params) model.Config {
+	return model.Config{Kind: model.KindBlockedBloom, Bloom: p}
+}
+
+func cuckooConfig(p cuckoo.Params) model.Config {
+	return model.Config{Kind: model.KindCuckoo, Cuckoo: p}
+}
+
+// cycles is p's cost per batched lookup in cycles, as calibrate times it.
+func cycles(p core.BatchProber, eff Effort) float64 {
+	return calibrate.NsPerLookup(p, eff.MinTime) * host().CyclesPerNs
 }
 
 // Fig5Sectorization reproduces Figure 5: multi-threaded lookup throughput
@@ -66,28 +56,22 @@ func Fig5Sectorization(sizeBits uint64, k uint32, eff Effort) []Series {
 	if threads <= 0 {
 		threads = host().Cores
 	}
-	probe := probeKeys(core.DefaultBatch, 0xABC)
 	blockedSeries := Series{Name: "blocked-one-sector", XLabel: "words-per-block", YLabel: "Mlookups/s"}
 	sectorSeries := Series{Name: "sectorized", XLabel: "words-per-block", YLabel: "Mlookups/s"}
 	for _, wpb := range []uint32{1, 2, 4, 8, 16} {
 		blockBits := wpb * 32
 		// One sector spanning the whole block (random access, Listing 1).
-		pb := blocked.Params{WordBits: 32, BlockBits: blockBits,
-			SectorBits: blockBits, Z: 1, K: k}
-		fb := buildBlocked(pb, sizeBits)
+		fb := build(bloomConfig(blocked.Params{WordBits: 32, BlockBits: blockBits,
+			SectorBits: blockBits, Z: 1, K: k}), sizeBits)
 		blockedSeries.X = append(blockedSeries.X, float64(wpb))
 		blockedSeries.Y = append(blockedSeries.Y,
-			measureThroughput(fb, probe, threads, eff.MinTime)/1e6)
+			probeThroughput(fb.ContainsBatch, threads, eff.MinTime)/1e6)
 		// Word-sized sectors (sequential access, Listing 2 per word).
-		ps := blocked.Params{WordBits: 32, BlockBits: blockBits,
-			SectorBits: 32, Z: wpb, K: k}
-		if err := ps.Validate(); err != nil {
-			panic(err)
-		}
-		fs := buildBlocked(ps, sizeBits)
+		fs := build(bloomConfig(blocked.Params{WordBits: 32, BlockBits: blockBits,
+			SectorBits: 32, Z: wpb, K: k}), sizeBits)
 		sectorSeries.X = append(sectorSeries.X, float64(wpb))
 		sectorSeries.Y = append(sectorSeries.Y,
-			measureThroughput(fs, probe, threads, eff.MinTime)/1e6)
+			probeThroughput(fs.ContainsBatch, threads, eff.MinTime)/1e6)
 	}
 	return []Series{blockedSeries, sectorSeries}
 }
@@ -98,25 +82,17 @@ func Fig5Sectorization(sizeBits uint64, k uint32, eff Effort) []Series {
 // cache-capacity boundaries the flexibility wins, and its overhead
 // elsewhere stays modest.
 func Fig9MagicModulo(maxBits uint64, eff Effort) []Series {
-	h := host()
-	probe := probeKeys(core.DefaultBatch, 0x919)
 	pow2 := Series{Name: "pow2", XLabel: "filter-MiB", YLabel: "cycles/lookup"}
 	magic := Series{Name: "magic", XLabel: "filter-MiB", YLabel: "cycles/lookup"}
 	for mBits := uint64(1 << 20); mBits <= maxBits; mBits = mBits * 5 / 4 {
 		p := blocked.CacheSectorizedParams(32, 512, 2, 8, false)
-		isPow2 := mBits&(mBits-1) == 0
-		if isPow2 {
-			f := buildBlocked(p, mBits)
-			ns := measureBatchNs(f, probe, eff.MinTime)
+		if mBits&(mBits-1) == 0 {
 			pow2.X = append(pow2.X, float64(mBits)/8/(1<<20))
-			pow2.Y = append(pow2.Y, ns*h.CyclesPerNs)
+			pow2.Y = append(pow2.Y, cycles(build(bloomConfig(p), mBits), eff))
 		}
-		pm := p
-		pm.Magic = true
-		fm := buildBlocked(pm, mBits)
-		ns := measureBatchNs(fm, probe, eff.MinTime)
+		p.Magic = true
 		magic.X = append(magic.X, float64(mBits)/8/(1<<20))
-		magic.Y = append(magic.Y, ns*h.CyclesPerNs)
+		magic.Y = append(magic.Y, cycles(build(bloomConfig(p), mBits), eff))
 	}
 	return []Series{magic, pow2}
 }
@@ -125,31 +101,20 @@ func Fig9MagicModulo(maxBits uint64, eff Effort) []Series {
 // sizes for the paper's three representative filters (register-blocked
 // B=32 k=4; cache-sectorized B=512 k=8 z=2; cuckoo b=2 l=16).
 func Fig14LookupScaling(minBits, maxBits uint64, eff Effort) []Series {
-	h := host()
-	probe := probeKeys(core.DefaultBatch, 0x1414)
-	type entry struct {
-		name  string
-		build func(mBits uint64) core.BatchProber
-	}
-	entries := []entry{
-		{"register-blocked(B=32,k=4)", func(m uint64) core.BatchProber {
-			return buildBlocked(blocked.RegisterBlockedParams(32, 4, false), m)
-		}},
-		{"cache-sectorized(B=512,k=8,z=2)", func(m uint64) core.BatchProber {
-			return buildBlocked(blocked.CacheSectorizedParams(32, 512, 2, 8, false), m)
-		}},
-		{"cuckoo(b=2,l=16)", func(m uint64) core.BatchProber {
-			return buildCuckoo(cuckoo.Params{TagBits: 16, BucketSize: 2}, m)
-		}},
+	entries := []struct {
+		name string
+		c    model.Config
+	}{
+		{"register-blocked(B=32,k=4)", bloomConfig(blocked.RegisterBlockedParams(32, 4, false))},
+		{"cache-sectorized(B=512,k=8,z=2)", bloomConfig(blocked.CacheSectorizedParams(32, 512, 2, 8, false))},
+		{"cuckoo(b=2,l=16)", cuckooConfig(cuckoo.Params{TagBits: 16, BucketSize: 2})},
 	}
 	var out []Series
 	for _, e := range entries {
 		s := Series{Name: e.name, XLabel: "filter-KiB", YLabel: "cycles/lookup"}
 		for mBits := minBits; mBits <= maxBits; mBits *= 4 {
-			f := e.build(mBits)
-			ns := measureBatchNs(f, probe, eff.MinTime)
 			s.X = append(s.X, float64(mBits)/8/1024)
-			s.Y = append(s.Y, ns*h.CyclesPerNs)
+			s.Y = append(s.Y, cycles(build(e.c, mBits), eff))
 		}
 		out = append(out, s)
 	}
@@ -176,37 +141,47 @@ type Fig15Row struct {
 // explains the gap.
 func Fig15BatchSpeedup(eff Effort) []Fig15Row {
 	const mBits = 16 << 10 * 8 // 16 KiB, L1-resident
-	h := host()
-	probe := probeKeys(core.DefaultBatch, 0x1515)
-	type filterPair struct {
+	pairs := []struct {
 		name string
-		mk   func(useMagic bool) prober
-	}
-	pairs := []filterPair{
-		{"cuckoo(b=2,l=16)", func(m bool) prober {
-			return buildCuckoo(cuckoo.Params{TagBits: 16, BucketSize: 2, Magic: m}, mBits)
+		c    func(magic bool) model.Config
+	}{
+		{"cuckoo(b=2,l=16)", func(m bool) model.Config {
+			return cuckooConfig(cuckoo.Params{TagBits: 16, BucketSize: 2, Magic: m})
 		}},
-		{"register-blocked(B=32,k=4)", func(m bool) prober {
-			return buildBlocked(blocked.RegisterBlockedParams(32, 4, m), mBits).(prober)
+		{"register-blocked(B=32,k=4)", func(m bool) model.Config {
+			return bloomConfig(blocked.RegisterBlockedParams(32, 4, m))
 		}},
-		{"cache-sectorized(B=512,k=8,z=2)", func(m bool) prober {
-			return buildBlocked(blocked.CacheSectorizedParams(32, 512, 2, 8, m), mBits).(prober)
+		{"cache-sectorized(B=512,k=8,z=2)", func(m bool) model.Config {
+			return bloomConfig(blocked.CacheSectorizedParams(32, 512, 2, 8, m))
 		}},
 	}
 	var rows []Fig15Row
 	for _, p := range pairs {
 		row := Fig15Row{Filter: p.name}
-		fp := p.mk(false)
-		row.ScalarPow2Cycles = measureScalarNs(fp, probe, eff.MinTime) * h.CyclesPerNs
-		row.BatchPow2Cycles = measureBatchNs(fp, probe, eff.MinTime) * h.CyclesPerNs
+		fp := build(p.c(false), mBits)
+		row.ScalarPow2Cycles = cycles(scalar{fp}, eff)
+		row.BatchPow2Cycles = cycles(fp, eff)
 		row.SpeedupPow2 = row.ScalarPow2Cycles / row.BatchPow2Cycles
-		fm := p.mk(true)
-		row.ScalarMagicCycles = measureScalarNs(fm, probe, eff.MinTime) * h.CyclesPerNs
-		row.BatchMagicCycles = measureBatchNs(fm, probe, eff.MinTime) * h.CyclesPerNs
+		fm := build(p.c(true), mBits)
+		row.ScalarMagicCycles = cycles(scalar{fm}, eff)
+		row.BatchMagicCycles = cycles(fm, eff)
 		row.SpeedupMagic = row.ScalarMagicCycles / row.BatchMagicCycles
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// scalar probes a batch one Contains call per key, so the timing loop
+// times the filter's one-key-at-a-time path.
+type scalar struct{ f core.Filter }
+
+func (s scalar) ContainsBatch(keys []core.Key, sel core.SelVec) core.SelVec {
+	for i, k := range keys {
+		if s.f.Contains(k) {
+			sel = append(sel, uint32(i))
+		}
+	}
+	return sel
 }
 
 // FormatFig15 renders Figure 15 rows as a table.
@@ -225,23 +200,14 @@ func FormatFig15(rows []Fig15Row) string {
 // Fig. 13b) directly: overhead ρ at a mid-range tw for bucket sizes 1, 2
 // and 4 at equal memory budget.
 func AblationCuckooBucket(tw float64, eff Effort) Series {
-	h := host()
-	probe := probeKeys(core.DefaultBatch, 0xB0B)
 	s := Series{Name: fmt.Sprintf("cuckoo-rho(tw=%g)", tw),
 		XLabel: "bucket-size", YLabel: "overhead-cycles"}
 	const n = 40000
 	for _, b := range []uint32{1, 2, 4} {
 		p := cuckoo.Params{TagBits: 12, BucketSize: b, Magic: true}
-		mBits := p.SizeForKeys(n)
-		f, err := cuckoo.New(p, mBits)
-		if err != nil {
-			panic(err)
-		}
-		fill(func(k core.Key) bool { return f.Insert(k) == nil }, n, 0xB0B1)
-		ns := measureBatchNs(f, probe, eff.MinTime)
-		rho := model.Overhead(ns*h.CyclesPerNs, f.FPR(n), tw)
+		f := build(cuckooConfig(p), p.SizeForKeys(n))
 		s.X = append(s.X, float64(b))
-		s.Y = append(s.Y, rho)
+		s.Y = append(s.Y, model.Overhead(cycles(f, eff), f.FPR(n), tw))
 	}
 	return s
 }

@@ -3,11 +3,9 @@ package bench
 import (
 	"context"
 	"runtime"
-	"time"
 
-	"perfilter/internal/blocked"
+	"perfilter/internal/calibrate"
 	"perfilter/internal/core"
-	"perfilter/internal/rng"
 )
 
 // The kernels experiment records two hot-path measurements, so CI can
@@ -25,25 +23,10 @@ import (
 //     named aligned because the committed BENCH_kernels.json baseline
 //     gates it under that name.
 
-// measureBatches probes f with fresh pseudo-random batches of batchLen
-// keys until the deadline and returns millions of keys per second.
-func measureBatches(probe func(keys []core.Key, sel core.SelVec) core.SelVec, batchLen int, d time.Duration) float64 {
-	r := rng.NewMT19937(0xBE)
-	keys := make([]core.Key, batchLen)
-	for i := range keys {
-		keys[i] = r.Uint32()
-	}
-	sel := make(core.SelVec, 0, batchLen)
-	// One warm-up batch keys the lazy paths (scratch pools, pool spin-up).
-	sel = probe(keys, sel[:0])
-	start := time.Now()
-	deadline := start.Add(d)
-	var n uint64
-	for time.Now().Before(deadline) {
-		sel = probe(keys, sel[:0])
-		n += uint64(batchLen)
-	}
-	return float64(n) / time.Since(start).Seconds() / 1e6
+// batchMkeys is probe's throughput in millions of keys per second on one
+// batch of batchLen keys, re-probed by calibrate's timing loop.
+func batchMkeys(probe func([]core.Key, core.SelVec) core.SelVec, batchLen int, eff Effort) float64 {
+	return 1e3 / calibrate.Time(probe, calibrate.Stream()[:batchLen], batchLen, eff.MinTime)
 }
 
 // poolWorkersOn is the worker count the pool-on series forces: the
@@ -73,16 +56,14 @@ func KernelsPool(shards int, mBits uint64, eff Effort) []Series {
 			panic(err)
 		}
 		sf.SetPoolSize(workers)
-		n := int(mBits / 12)
-		if n > maxFill {
-			n = maxFill
+		if _, err := sf.InsertBatch(context.Background(), calibrate.FillKeys(headline, mBits)); err != nil {
+			panic(err)
 		}
-		fill(func(k core.Key) bool { sf.Insert(k); return true }, n, 0xF11)
 		probe := func(keys []core.Key, sel core.SelVec) core.SelVec {
 			return sf.ContainsBatch(context.Background(), keys, sel)
 		}
 		for _, bl := range batchLens {
-			y := measureBatches(probe, bl, eff.MinTime)
+			y := batchMkeys(probe, bl, eff)
 			if workers > 0 {
 				on.X = append(on.X, float64(bl))
 				on.Y = append(on.Y, y)
@@ -101,17 +82,8 @@ func KernelsPool(shards int, mBits uint64, eff Effort) []Series {
 func KernelsProbe(eff Effort) []Series {
 	aligned := Series{Name: "aligned", XLabel: "log2(m)", YLabel: "Mkeys/s"}
 	for _, mBits := range []uint64{1 << 17, 1 << 23, 1 << 26} {
-		f, err := blocked.New(headlineParams(), mBits)
-		if err != nil {
-			panic(err)
-		}
-		n := int(mBits / 12)
-		if n > maxFill {
-			n = maxFill
-		}
-		fill(func(k core.Key) bool { f.Insert(k); return true }, n, 0xF11)
 		aligned.X = append(aligned.X, float64(log2(mBits)))
-		aligned.Y = append(aligned.Y, measureBatches(f.ContainsBatch, core.DefaultBatch, eff.MinTime))
+		aligned.Y = append(aligned.Y, batchMkeys(build(headline, mBits).ContainsBatch, core.DefaultBatch, eff))
 	}
 	return []Series{aligned}
 }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"perfilter/internal/blocked"
+	"perfilter/internal/calibrate"
 	"perfilter/internal/core"
+	"perfilter/internal/model"
 	"perfilter/internal/rng"
 	"perfilter/internal/sharded"
 )
@@ -20,47 +22,69 @@ import (
 // configuration is used for both sides so the delta is purely the
 // synchronization strategy.
 
-func headlineParams() blocked.Params {
-	return blocked.CacheSectorizedParams(64, 512, 2, 8, true)
-}
+// headline is the cache-sectorized default both sides of the experiment
+// build.
+var headline = model.Config{Kind: model.KindBlockedBloom, Bloom: blocked.DefaultParams()}
 
 func newSharded(mBits uint64, shards int) (*sharded.Filter, error) {
 	// SplitBits applies the same rounding sharded.New will, so the
 	// sharded side totals the same memory as the baseline.
 	perShard, shards := sharded.SplitBits(mBits, shards)
 	return sharded.New(func() (sharded.Inner, error) {
-		return blocked.New(headlineParams(), perShard)
+		return headline.New(perShard)
 	}, shards)
 }
 
 // mutexFilter is the baseline: the same total filter behind one lock.
 type mutexFilter struct {
 	mu sync.Mutex
-	f  blocked.Probe
+	f  core.Filter
 }
 
-// measureParallel runs work on each of g goroutines until the deadline
-// and returns aggregate operations per second. Each worker gets an
-// independent seed; work returns its operation count.
-func measureParallel(g int, d time.Duration, work func(seed uint32, deadline time.Time) uint64) float64 {
-	start := time.Now()
-	deadline := start.Add(d)
-	totals := make([]uint64, g)
+// measureParallel runs work on each of g goroutines at once and returns
+// the sum of their rates; work(w) returns goroutine w's operations per
+// second.
+func measureParallel(g int, work func(w int) float64) float64 {
+	rates := make([]float64, g)
 	var wg sync.WaitGroup
 	wg.Add(g)
-	for w := 0; w < g; w++ {
-		go func(w int) {
+	for w := range rates {
+		go func() {
 			defer wg.Done()
-			totals[w] = work(uint32(1+w), deadline)
-		}(w)
+			rates[w] = work(w)
+		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	var sum uint64
-	for _, t := range totals {
-		sum += t
+	var sum float64
+	for _, r := range rates {
+		sum += r
 	}
-	return float64(sum) / elapsed
+	return sum
+}
+
+// probeThroughput runs calibrate's timing loop on g goroutines at once,
+// each from its own offset into the probe stream, and returns aggregate
+// lookups per second.
+func probeThroughput(probe func([]core.Key, core.SelVec) core.SelVec, g int, d time.Duration) float64 {
+	stream := calibrate.Stream()
+	return measureParallel(g, func(w int) float64 {
+		return 1e9 / calibrate.Time(probe, stream[w*len(stream)/(2*g):], core.DefaultBatch, d)
+	})
+}
+
+// insertRate inserts random keys (seeded by w) in rounds of 4096 until d
+// has passed and returns keys per second.
+func insertRate(w int, d time.Duration, insert func(core.Key)) float64 {
+	r := rng.NewMT19937(uint32(1 + w))
+	var n uint64
+	start := time.Now()
+	for time.Since(start) < d {
+		for range 4096 {
+			insert(r.Uint32())
+		}
+		n += 4096
+	}
+	return float64(n) / time.Since(start).Seconds()
 }
 
 // defaultShards picks the shard count for the experiment: the library's
@@ -95,112 +119,58 @@ func ParallelInsert(goroutines []int, shards int, mBits uint64, eff Effort) []Se
 		if err != nil {
 			panic(err)
 		}
-		y := measureParallel(g, eff.MinTime, func(seed uint32, deadline time.Time) uint64 {
-			r := rng.NewMT19937(seed)
-			var n uint64
-			for time.Now().Before(deadline) {
-				for i := 0; i < 4096; i++ {
-					sf.Insert(r.Uint32())
-				}
-				n += 4096
-			}
-			return n
-		})
 		shardedS.X = append(shardedS.X, float64(g))
-		shardedS.Y = append(shardedS.Y, y)
+		shardedS.Y = append(shardedS.Y, measureParallel(g, func(w int) float64 {
+			return insertRate(w, eff.MinTime, func(k core.Key) { sf.Insert(k) })
+		}))
 
-		mf, err := blocked.New(headlineParams(), mBits)
+		mf, err := headline.New(mBits)
 		if err != nil {
 			panic(err)
 		}
 		base := &mutexFilter{f: mf}
-		y = measureParallel(g, eff.MinTime, func(seed uint32, deadline time.Time) uint64 {
-			r := rng.NewMT19937(seed)
-			var n uint64
-			for time.Now().Before(deadline) {
-				for i := 0; i < 4096; i++ {
-					k := r.Uint32()
-					base.mu.Lock()
-					base.f.Insert(k)
-					base.mu.Unlock()
-				}
-				n += 4096
-			}
-			return n
-		})
 		mutexS.X = append(mutexS.X, float64(g))
-		mutexS.Y = append(mutexS.Y, y)
+		mutexS.Y = append(mutexS.Y, measureParallel(g, func(w int) float64 {
+			return insertRate(w, eff.MinTime, func(k core.Key) {
+				base.mu.Lock()
+				base.f.Insert(k)
+				base.mu.Unlock()
+			})
+		}))
 	}
 	return []Series{shardedS, mutexS}
 }
 
 // ParallelProbe measures aggregate batched-probe throughput (keys/second,
-// batches of core.DefaultBatch) for each goroutine count: the sharded
-// filter's scatter/gather against the mutex-guarded baseline. Both are
-// pre-filled with the same number of keys (12 bits/key, capped at
-// maxFill).
+// batches of core.DefaultBatch from the probe stream) for each goroutine
+// count: the sharded filter's scatter/gather against the mutex-guarded
+// baseline. Both are filled with calibrate's fill keys for mBits.
 func ParallelProbe(goroutines []int, shards int, mBits uint64, eff Effort) []Series {
 	if shards <= 0 {
 		shards = defaultShards(goroutines)
-	}
-	n := int(mBits / 12)
-	if n > maxFill {
-		n = maxFill
 	}
 	sf, err := newSharded(mBits, shards)
 	if err != nil {
 		panic(err)
 	}
-	mf, err := blocked.New(headlineParams(), mBits)
-	if err != nil {
+	if _, err := sf.InsertBatch(context.Background(), calibrate.FillKeys(headline, mBits)); err != nil {
 		panic(err)
 	}
-	fillR := rng.NewMT19937(99)
-	for i := 0; i < n; i++ {
-		k := fillR.Uint32()
-		sf.Insert(k)
-		mf.Insert(k)
-	}
-	base := &mutexFilter{f: mf}
+	base := &mutexFilter{f: build(headline, mBits)}
 
 	shardedS := Series{Name: "sharded", XLabel: "goroutines", YLabel: "keys/s"}
 	mutexS := Series{Name: "mutex", XLabel: "goroutines", YLabel: "keys/s"}
 	for _, g := range goroutines {
-		y := measureParallel(g, eff.MinTime, func(seed uint32, deadline time.Time) uint64 {
-			r := rng.NewMT19937(seed)
-			keys := make([]core.Key, core.DefaultBatch)
-			sel := make(core.SelVec, 0, len(keys))
-			var cnt uint64
-			for time.Now().Before(deadline) {
-				for i := range keys {
-					keys[i] = r.Uint32()
-				}
-				sel = sf.ContainsBatch(context.Background(), keys, sel[:0])
-				cnt += uint64(len(keys))
-			}
-			return cnt
-		})
 		shardedS.X = append(shardedS.X, float64(g))
-		shardedS.Y = append(shardedS.Y, y)
-
-		y = measureParallel(g, eff.MinTime, func(seed uint32, deadline time.Time) uint64 {
-			r := rng.NewMT19937(seed)
-			keys := make([]core.Key, core.DefaultBatch)
-			sel := make(core.SelVec, 0, len(keys))
-			var cnt uint64
-			for time.Now().Before(deadline) {
-				for i := range keys {
-					keys[i] = r.Uint32()
-				}
-				base.mu.Lock()
-				sel = base.f.ContainsBatch(keys, sel[:0])
-				base.mu.Unlock()
-				cnt += uint64(len(keys))
-			}
-			return cnt
-		})
+		shardedS.Y = append(shardedS.Y, probeThroughput(func(keys []core.Key, sel core.SelVec) core.SelVec {
+			return sf.ContainsBatch(context.Background(), keys, sel)
+		}, g, eff.MinTime))
 		mutexS.X = append(mutexS.X, float64(g))
-		mutexS.Y = append(mutexS.Y, y)
+		mutexS.Y = append(mutexS.Y, probeThroughput(func(keys []core.Key, sel core.SelVec) core.SelVec {
+			base.mu.Lock()
+			defer base.mu.Unlock()
+			return base.f.ContainsBatch(keys, sel)
+		}, g, eff.MinTime))
 	}
 	return []Series{shardedS, mutexS}
 }

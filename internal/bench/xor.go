@@ -6,11 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"perfilter/internal/blocked"
 	"perfilter/internal/bloom"
+	"perfilter/internal/calibrate"
 	"perfilter/internal/core"
 	"perfilter/internal/cuckoo"
-	"perfilter/internal/exact"
 	"perfilter/internal/model"
 	"perfilter/internal/rng"
 	"perfilter/internal/xor"
@@ -35,34 +34,30 @@ var xorVariants = []xor.Params{
 // problem sizes. The cache-sectorized headline Bloom filter is included
 // as the probe baseline.
 func XorThroughput(eff Effort) []Series {
-	h := host()
-	probe := probeKeys(core.DefaultBatch, 0x0A0B)
 	ns := []int{1 << 16, 1 << 20}
 	var out []Series
 	for _, p := range xorVariants {
-		build := Series{Name: p.String() + "-build", XLabel: "keys", YLabel: "Mkeys/s"}
+		solve := Series{Name: p.String() + "-build", XLabel: "keys", YLabel: "Mkeys/s"}
 		lookup := Series{Name: p.String() + "-probe", XLabel: "keys", YLabel: "cycles/lookup"}
 		for _, n := range ns {
-			keys := probeKeys(n, 0xB111)
+			keys := randomKeys(n, 0xB111)
 			start := time.Now()
 			f, err := xor.Build(p, keys)
 			if err != nil {
 				panic(err)
 			}
 			elapsed := time.Since(start)
-			build.X = append(build.X, float64(n))
-			build.Y = append(build.Y, float64(n)/elapsed.Seconds()/1e6)
+			solve.X = append(solve.X, float64(n))
+			solve.Y = append(solve.Y, float64(n)/elapsed.Seconds()/1e6)
 			lookup.X = append(lookup.X, float64(n))
-			lookup.Y = append(lookup.Y, measureBatchNs(f, probe, eff.MinTime)*h.CyclesPerNs)
+			lookup.Y = append(lookup.Y, cycles(f, eff))
 		}
-		out = append(out, build, lookup)
+		out = append(out, solve, lookup)
 	}
 	baseline := Series{Name: "bloom-probe-baseline", XLabel: "keys", YLabel: "cycles/lookup"}
 	for _, n := range ns {
-		p := blocked.CacheSectorizedParams(64, 512, 2, 8, true)
-		f := buildBlocked(p, uint64(n)*12)
 		baseline.X = append(baseline.X, float64(n))
-		baseline.Y = append(baseline.Y, measureBatchNs(f, probe, eff.MinTime)*h.CyclesPerNs)
+		baseline.Y = append(baseline.Y, cycles(build(headline, uint64(n)*12), eff))
 	}
 	return append(out, baseline)
 }
@@ -79,11 +74,12 @@ type MeasuredFPRRow struct {
 
 // MeasuredFPRRows builds every filter family at a comparable budget
 // (≈16 bits/key for the mutable families, the key-count-determined size
-// for xor and exact), inserts n keys and measures the false-positive
-// rate over disjoint probes. cmd/filter-fpr prints the table and its
-// test asserts every row is within 2× of the model.
+// for xor and exact) through the model's kind table, inserts n keys and
+// measures the false-positive rate over disjoint probes. cmd/filter-fpr
+// prints the table and its test asserts every row is within 2× of the
+// model.
 func MeasuredFPRRows(n int) []MeasuredFPRRow {
-	keys := probeKeys(n, 0xFA15)
+	keys := randomKeys(n, 0xFA15)
 	member := make(map[core.Key]bool, n)
 	for _, k := range keys {
 		member[k] = true
@@ -104,59 +100,35 @@ func MeasuredFPRRows(n int) []MeasuredFPRRow {
 		}
 		return float64(fp) / float64(tested)
 	}
-	var rows []MeasuredFPRRow
-	add := func(name string, sizeBits uint64, measured, modeled float64) {
-		rows = append(rows, MeasuredFPRRow{
-			Name: name, BitsPerKey: float64(sizeBits) / float64(n),
-			Measured: measured, Model: modeled,
-		})
-	}
-
-	bp := blocked.CacheSectorizedParams(64, 512, 2, 8, true)
-	bf, err := blocked.New(bp, uint64(n)*16)
-	if err != nil {
-		panic(err)
-	}
-	for _, k := range keys {
-		bf.Insert(k)
-	}
-	add(bp.String(), bf.SizeBits(), measure(bf.Contains), bf.FPR(uint64(n)))
-
-	cp := bloom.Params{K: 7, Magic: true}
-	cf, err := bloom.New(cp, uint64(n)*16)
-	if err != nil {
-		panic(err)
-	}
-	for _, k := range keys {
-		cf.Insert(k)
-	}
-	add(cp.String(), cf.SizeBits(), measure(cf.Contains), cf.FPR(uint64(n)))
-
 	kp := cuckoo.Params{TagBits: 16, BucketSize: 2, Magic: true}
-	kf, err := cuckoo.New(kp, kp.SizeForKeys(uint64(n)))
-	if err != nil {
-		panic(err)
+	type family struct {
+		c     model.Config
+		mBits uint64
 	}
-	for _, k := range keys {
-		if err := kf.Insert(k); err != nil {
-			panic(err)
-		}
+	families := []family{
+		{headline, uint64(n) * 16},
+		{model.Config{Kind: model.KindClassicBloom, Classic: bloom.Params{K: 7, Magic: true}}, uint64(n) * 16},
+		{cuckooConfig(kp), kp.SizeForKeys(uint64(n))},
 	}
-	add(kp.String(), kf.SizeBits(), measure(kf.Contains), kf.FPR(uint64(n)))
-
 	for _, xp := range xorVariants {
-		xf, err := xor.Build(xp, keys)
+		families = append(families, family{model.Config{Kind: model.KindXor, Xor: xp}, 0})
+	}
+	families = append(families, family{model.Config{Kind: model.KindExact}, uint64(n) * 64})
+
+	var rows []MeasuredFPRRow
+	for _, fam := range families {
+		f, err := fam.c.New(fam.mBits)
+		if err == nil {
+			err = calibrate.Fill(f, keys)
+		}
 		if err != nil {
 			panic(err)
 		}
-		add(xp.String(), xf.SizeBits(), measure(xf.Contains), xp.FPR())
+		rows = append(rows, MeasuredFPRRow{
+			Name: fam.c.String(), BitsPerKey: float64(f.SizeBits()) / float64(n),
+			Measured: measure(f.Contains), Model: f.FPR(uint64(n)),
+		})
 	}
-
-	ef := exact.New(n)
-	for _, k := range keys {
-		ef.Insert(k)
-	}
-	add("exact[robin-hood]", ef.SizeBits(), measure(ef.Contains), 0)
 	return rows
 }
 

@@ -3,26 +3,31 @@
 // on the target platform, producing data a MeasuredModel can feed into the
 // performance-optimal filtering model in place of the analytic presets.
 //
-// Measurements run batched lookups over a mostly-negative probe mix (the
-// high-throughput scenario the paper targets), convert wall time to CPU
-// cycles with the platform's estimated cycle rate, and record one point per
-// (configuration, filter size). Results serialize to JSON so the
-// calibration can be performed once per machine (cmd/filter-calibrate) and
-// reused.
+// It also owns the one measurement primitive the measured figures of
+// package bench share: Build constructs a configuration through the
+// model's kind table and fills it by one fill rule, Stream is the probe
+// stream, and Time is the timing loop. Lookups stream through 2^22
+// distinct, almost all negative keys (the high-throughput scenario the
+// paper targets), so a filter larger than the caches pays its misses
+// instead of re-probing lines one batch left in L2. Run converts wall time
+// to CPU cycles with the platform's estimated cycle rate and records one
+// point per (configuration, filter size). Results serialize to JSON so the
+// calibration can be performed once per machine (cmd/filter-calibrate)
+// and reused.
 package calibrate
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
-	"perfilter/internal/blocked"
-	"perfilter/internal/bloom"
 	"perfilter/internal/core"
 	"perfilter/internal/cuckoo"
-	"perfilter/internal/exact"
 	"perfilter/internal/model"
 	"perfilter/internal/platform"
 	"perfilter/internal/rng"
@@ -36,7 +41,8 @@ type Point struct {
 	CyclesPerLookup float64 `json:"cycles_per_lookup"`
 }
 
-// Result is a complete calibration run.
+// Result is a complete calibration run. Batch records the lookup batch
+// size, always core.DefaultBatch.
 type Result struct {
 	Platform    string  `json:"platform"`
 	CyclesPerNs float64 `json:"cycles_per_ns"`
@@ -46,112 +52,139 @@ type Result struct {
 
 // Opts controls measurement effort.
 type Opts struct {
-	// MinTime is the minimum measurement duration per point; longer gives
-	// steadier numbers.
+	// MinTime is the duration of each of the runs whose median a point
+	// reports; longer gives steadier numbers.
 	MinTime time.Duration
-	// Batch is the lookup batch size (the paper's unified interface takes
-	// whole key lists).
-	Batch int
-	// LoadBitsPerKey sets how full filters are during measurement (lookup
-	// cost is load-independent for these filters, but a realistic fill
-	// exercises realistic bit patterns). Default 12.
-	LoadBitsPerKey float64
 }
 
 // DefaultOpts returns measurement settings good enough for model use.
 func DefaultOpts() Opts {
-	return Opts{MinTime: 2 * time.Millisecond, Batch: core.DefaultBatch, LoadBitsPerKey: 12}
+	return Opts{MinTime: 2 * time.Millisecond}
 }
 
-// prober unifies the filters under test.
-type prober interface {
-	ContainsBatch([]core.Key, core.SelVec) core.SelVec
-}
+const (
+	// maxFill caps the keys a measurement filter is filled with. Lookup
+	// cost does not depend on the load (every probe reads the same words
+	// whatever they hold), so the cap keeps a 512 MiB point to a second
+	// without changing what is measured.
+	maxFill = 2 << 20
+	// streamLen is the probe stream's length: 16 MiB of distinct keys.
+	streamLen = 1 << 22
+	// runs is how many MinTime runs Time takes the median of.
+	runs = 5
+)
 
-// build constructs a filter for the given model config and size, filled at
-// opts.LoadBitsPerKey.
-func build(c model.Config, mBits uint64, opts Opts) (prober, error) {
-	n := int(float64(mBits) / opts.LoadBitsPerKey)
-	if n < 1 {
-		n = 1
-	}
-	r := rng.NewMT19937(0xCA11B)
+// FillKeys returns the keys the fill rule puts in a filter of c at mBits:
+// mBits/12 of them, at most maxFill, and at most 80% of the slots of a
+// cuckoo table or an exact set. The keys are the same on every call.
+func FillKeys(c model.Config, mBits uint64) []core.Key {
+	n := min(mBits/12, maxFill)
 	switch c.Kind {
-	case model.KindBlockedBloom:
-		f, err := blocked.New(c.Bloom, mBits)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			f.Insert(r.Uint32())
-		}
-		return f, nil
-	case model.KindClassicBloom:
-		f, err := bloom.New(c.Classic, mBits)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			f.Insert(r.Uint32())
-		}
-		return f, nil
 	case model.KindCuckoo:
-		f, err := cuckoo.New(c.Cuckoo, mBits)
-		if err != nil {
-			return nil, err
-		}
-		// Fill to 90% of the practical load limit or the requested load,
-		// whichever is lower; stop early if the table saturates.
-		maxN := int(0.9 * float64(f.NumBuckets()) * float64(c.Cuckoo.BucketSize))
-		if n > maxN {
-			n = maxN
-		}
-		for i := 0; i < n; i++ {
-			if err := f.Insert(r.Uint32()); err != nil {
-				break
-			}
-		}
-		return f, nil
+		n = min(n, c.ActualBits(mBits)/uint64(c.Cuckoo.TagBits)*4/5)
 	case model.KindExact:
-		n := int(mBits / 64)
-		s := exact.New(n)
-		for i := 0; i < n*4/5; i++ {
-			s.Insert(r.Uint32())
-		}
-		return s, nil
-	default:
-		return nil, fmt.Errorf("calibrate: unknown kind %d", c.Kind)
+		n = min(n, mBits/64*4/5)
 	}
+	r := rng.NewMT19937(0xF11)
+	keys := make([]core.Key, n)
+	for i := range keys {
+		keys[i] = r.Uint32()
+	}
+	return keys
 }
 
-// MeasurePoint times batched lookups for one configuration and size,
-// returning nanoseconds per lookup.
-func MeasurePoint(c model.Config, mBits uint64, opts Opts) (float64, error) {
-	f, err := build(c, mBits, opts)
-	if err != nil {
-		return 0, err
+// Build constructs c at mBits through the model's kind table and fills it
+// with FillKeys. A cuckoo table that saturates below the fill rule is
+// measured as it stands.
+func Build(c model.Config, mBits uint64) (core.Filter, error) {
+	f, err := c.New(mBits)
+	if err == nil {
+		err = Fill(f, FillKeys(c, mBits))
 	}
-	r := rng.NewMT19937(0xBEEF)
-	probe := make([]core.Key, opts.Batch)
-	for i := range probe {
-		probe[i] = r.Uint32()
+	if err != nil && !errors.Is(err, cuckoo.ErrFull) {
+		return nil, err
 	}
-	sel := make(core.SelVec, 0, opts.Batch)
+	return f, nil
+}
 
-	// Warm up: touch the filter and let the batch kernel settle.
-	sel = f.ContainsBatch(probe, sel[:0])
+// Fill inserts keys with InsertBatch and seals a build-once filter.
+func Fill(f core.Filter, keys []core.Key) error {
+	if _, err := f.InsertBatch(keys); err != nil {
+		return err
+	}
+	if s, ok := f.(interface{ Seal() error }); ok {
+		return s.Seal()
+	}
+	return nil
+}
 
-	var lookups int64
-	start := time.Now()
-	for time.Since(start) < opts.MinTime {
-		for rep := 0; rep < 8; rep++ {
-			sel = f.ContainsBatch(probe, sel[:0])
-			lookups += int64(len(probe))
+// Stream returns the probe stream: 2^22 distinct keys, generated once.
+// Callers must not modify it.
+func Stream() []core.Key { return stream() }
+
+// stream makes key i a bijective 32-bit mix of i, so the keys are
+// distinct and spread over the whole key space.
+var stream = sync.OnceValue(func() []core.Key {
+	keys := make([]core.Key, streamLen)
+	for i := range keys {
+		x := uint32(i)
+		x ^= x >> 16
+		x *= 0x85ebca6b
+		x ^= x >> 13
+		x *= 0xc2b2ae35
+		x ^= x >> 16
+		keys[i] = x
+	}
+	return keys
+})
+
+// Time is the timing loop: it calls probe on consecutive batch-key slices
+// of keys, wrapping to the start at the end, and returns the median ns per
+// key over runs runs of at least minTime and four batches each, after one
+// warm-up batch. len(keys) must be at least batch.
+func Time(probe func([]core.Key, core.SelVec) core.SelVec, keys []core.Key, batch int, minTime time.Duration) float64 {
+	sel := make(core.SelVec, 0, batch)
+	next := 0
+	step := func() {
+		if next+batch > len(keys) {
+			next = 0
 		}
+		sel = probe(keys[next:next+batch], sel[:0])
+		next += batch
 	}
-	elapsed := time.Since(start)
-	_ = sel
-	return float64(elapsed.Nanoseconds()) / float64(lookups), nil
+	step()
+	var ns [runs]float64
+	for r := range ns {
+		n := 0
+		start := time.Now()
+		for n == 0 || time.Since(start) < minTime {
+			for range 4 {
+				step()
+			}
+			n += 4 * batch
+		}
+		ns[r] = float64(time.Since(start).Nanoseconds()) / float64(n)
+	}
+	slices.Sort(ns[:])
+	return ns[runs/2]
+}
+
+// NsPerLookup times p's ContainsBatch over the probe stream in
+// core.DefaultBatch slices: the cost calibration records and the measured
+// figures plot.
+func NsPerLookup(p core.BatchProber, minTime time.Duration) float64 {
+	return Time(p.ContainsBatch, Stream(), core.DefaultBatch, minTime)
+}
+
+// MeasurePoint builds c at mBits and times its batched lookups. The point
+// carries the built filter's size, which for xor depends on the keys it
+// was sealed with, and leaves CyclesPerLookup for Run to fill in.
+func MeasurePoint(c model.Config, mBits uint64, opts Opts) (Point, error) {
+	f, err := Build(c, mBits)
+	if err != nil {
+		return Point{}, err
+	}
+	return Point{Config: c.String(), MBits: f.SizeBits(), NsPerLookup: NsPerLookup(f, opts.MinTime)}, nil
 }
 
 // Run measures every (config, size) combination and assembles a Result.
@@ -160,21 +193,16 @@ func Run(configs []model.Config, sizesBits []uint64, opts Opts) (*Result, error)
 	res := &Result{
 		Platform:    info.Name,
 		CyclesPerNs: info.CyclesPerNs,
-		Batch:       opts.Batch,
+		Batch:       core.DefaultBatch,
 	}
 	for _, c := range configs {
 		for _, mBits := range sizesBits {
-			actual := c.ActualBits(mBits)
-			ns, err := MeasurePoint(c, actual, opts)
+			p, err := MeasurePoint(c, c.ActualBits(mBits), opts)
 			if err != nil {
-				return nil, fmt.Errorf("calibrate %s @ %d bits: %w", c, actual, err)
+				return nil, fmt.Errorf("calibrate %s @ %d bits: %w", c, mBits, err)
 			}
-			res.Points = append(res.Points, Point{
-				Config:          c.String(),
-				MBits:           actual,
-				NsPerLookup:     ns,
-				CyclesPerLookup: ns * info.CyclesPerNs,
-			})
+			p.CyclesPerLookup = p.NsPerLookup * info.CyclesPerNs
+			res.Points = append(res.Points, p)
 		}
 	}
 	return res, nil

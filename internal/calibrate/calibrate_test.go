@@ -1,12 +1,15 @@
 package calibrate
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"perfilter/internal/blocked"
-	"perfilter/internal/bloom"
+	"perfilter/internal/core"
 	"perfilter/internal/cuckoo"
 	"perfilter/internal/model"
 )
@@ -137,21 +140,122 @@ func TestMeasuredModelInSkyline(t *testing.T) {
 	}
 }
 
+// TestMeasurePointAllKinds calibrates the first enumerated configuration
+// of every model kind, so a kind the model cannot build fails here.
 func TestMeasurePointAllKinds(t *testing.T) {
 	opts := quickOpts()
-	kinds := []model.Config{
-		{Kind: model.KindBlockedBloom, Bloom: blocked.CacheSectorizedParams(64, 512, 2, 8, true)},
-		{Kind: model.KindClassicBloom, Classic: bloom.Params{K: 7}},
-		{Kind: model.KindCuckoo, Cuckoo: cuckoo.Params{TagBits: 8, BucketSize: 4}},
-		{Kind: model.KindExact},
-	}
-	for _, c := range kinds {
-		ns, err := MeasurePoint(c, 1<<16, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c, err)
+	for k := range model.Kind(model.NumKinds()) {
+		cfgs := model.ConfigsFor([]model.Kind{k}, false)
+		if len(cfgs) == 0 {
+			t.Fatalf("%s: no enumerated configuration", k)
 		}
-		if ns <= 0 {
-			t.Fatalf("%s: ns=%v", c, ns)
+		p, err := MeasurePoint(cfgs[0], 1<<16, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", cfgs[0], err)
+		}
+		if p.NsPerLookup <= 0 || p.MBits == 0 || p.Config != cfgs[0].String() {
+			t.Fatalf("%s: implausible point %+v", cfgs[0], p)
+		}
+	}
+}
+
+// recorder is a core.BatchProber that keeps the first keys it is asked
+// about.
+type recorder struct{ keys []core.Key }
+
+func (r *recorder) ContainsBatch(keys []core.Key, sel core.SelVec) core.SelVec {
+	if room := 1<<20 - len(r.keys); room > 0 {
+		r.keys = append(r.keys, keys[:min(room, len(keys))]...)
+	}
+	return sel
+}
+
+// TestProbeStreamDistinct pins the probe stream: the timing loop must
+// hand a prober at least 2^20 distinct keys before any key repeats. A loop
+// that re-probes one batch keeps its filter lines cache-resident at every
+// size and fails here.
+func TestProbeStreamDistinct(t *testing.T) {
+	// A slow host (or -race) may need longer runs to reach 2^20 keys.
+	var r recorder
+	for d := 10 * time.Millisecond; len(r.keys) < 1<<20; d *= 2 {
+		if d > 10*time.Second {
+			t.Fatalf("prober saw %d keys, want at least 2^20", len(r.keys))
+		}
+		r = recorder{}
+		NsPerLookup(&r, d)
+	}
+	seen := slices.Clone(r.keys)
+	slices.Sort(seen)
+	if len(slices.Compact(seen)) != len(r.keys) {
+		t.Fatal("a probe key repeats within the first 2^20")
+	}
+}
+
+// TestFillRule checks the fill rule's caps: mBits/12 keys, at most
+// maxFill, and at most 80% of the slots of cuckoo and exact tables.
+func TestFillRule(t *testing.T) {
+	bloomCfg := testConfigs()[0]
+	cuckooCfg := model.Config{Kind: model.KindCuckoo, Cuckoo: cuckoo.Params{TagBits: 16, BucketSize: 2}}
+	for _, tc := range []struct {
+		c     model.Config
+		mBits uint64
+		want  int
+	}{
+		{bloomCfg, 12 << 10, 1 << 10},
+		{bloomCfg, 1 << 32, maxFill},
+		{cuckooCfg, 1 << 20, 1 << 16 * 4 / 5},
+		{model.Config{Kind: model.KindExact}, 1 << 20, 1 << 14 * 4 / 5},
+	} {
+		if got := len(FillKeys(tc.c, tc.mBits)); got != tc.want {
+			t.Errorf("%s @ %d bits: %d fill keys, want %d", tc.c, tc.mBits, got, tc.want)
+		}
+	}
+}
+
+// TestDecodeParentFormat decodes a calibration file written before the
+// batch size became a constant: its batch field still round-trips.
+func TestDecodeParentFormat(t *testing.T) {
+	const file = `{
+  "platform": "Intel(R) Xeon(R) Processor",
+  "cycles_per_ns": 2.1,
+  "batch": 1024,
+  "points": [
+    {"config": "cuckoo[l=16,b=2,magic]", "m_bits": 16384, "ns_per_lookup": 9.5, "cycles_per_lookup": 19.95}
+  ]
+}`
+	res, err := Unmarshal([]byte(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batch != 1024 || len(res.Points) != 1 || res.Points[0].CyclesPerLookup != 19.95 {
+		t.Fatalf("decoded %+v", res)
+	}
+	data, err := res.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Unmarshal(data)
+	if err != nil || !reflect.DeepEqual(back, res) {
+		t.Fatalf("round trip: %+v, %v", back, err)
+	}
+}
+
+// BenchmarkMeasurePoint times one calibration point of the blocked default
+// and of the (l=16, b=2) cuckoo filter at 16 and 512 MiB: build, fill and
+// the timed runs.
+func BenchmarkMeasurePoint(b *testing.B) {
+	for _, c := range []model.Config{
+		{Kind: model.KindBlockedBloom, Bloom: blocked.DefaultParams()},
+		{Kind: model.KindCuckoo, Cuckoo: cuckoo.Params{TagBits: 16, BucketSize: 2, Magic: true}},
+	} {
+		for _, mib := range []uint64{16, 512} {
+			b.Run(fmt.Sprintf("%s/%dMiB", c.Kind, mib), func(b *testing.B) {
+				for range b.N {
+					if _, err := MeasurePoint(c, mib<<23, DefaultOpts()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

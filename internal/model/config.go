@@ -10,6 +10,13 @@
 // package fpr; tl comes from a CostModel — either the analytic machine
 // model parameterized with the paper's Table 1 platforms (package model's
 // presets) or host measurements (package calibrate).
+//
+// The package is also the one kind table of the repository: each
+// family's spec (spec.go) holds its constructor as well as its analytic
+// behaviour, and Config.New builds through it. The root package's New,
+// the sharded factories, the calibration and the measured figures all
+// construct filters that way, so no other package switches on the kind
+// to build one.
 package model
 
 import (
@@ -18,6 +25,7 @@ import (
 
 	"perfilter/internal/blocked"
 	"perfilter/internal/bloom"
+	"perfilter/internal/core"
 	"perfilter/internal/cuckoo"
 	"perfilter/internal/magic"
 	"perfilter/internal/xor"
@@ -78,6 +86,18 @@ func (c Config) String() string {
 		return sp.render(c)
 	}
 	return "invalid"
+}
+
+// New builds an empty filter of (at least) mBits for c — the one
+// construction path of the root package, the sharded factories, the
+// calibration and the measured figures. The exact set reads mBits as 64
+// bits per slot of capacity; an xor filter treats it as a buffer hint and
+// takes its size from the keys it is sealed with.
+func (c Config) New(mBits uint64) (core.Filter, error) {
+	if sp := specOf(c.Kind); sp != nil && sp.build != nil {
+		return sp.build(c, mBits)
+	}
+	return nil, fmt.Errorf("model: no filter family for kind %s", c.Kind)
 }
 
 // FPR returns the analytic false-positive rate at size mBits with n keys.

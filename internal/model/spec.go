@@ -1,8 +1,10 @@
 package model
 
-// kindSpec is one filter family's model-side registration: every per-kind
-// behaviour the analytic layer needs — validation, rendering, the FPR and
-// feasibility models, sizing rules, the cost function, the sweep
+import "perfilter/internal/core"
+
+// kindSpec is one filter family's registration: its constructor and every
+// per-kind behaviour the analytic layer needs — validation, rendering, the
+// FPR and feasibility models, sizing rules, the cost function, the sweep
 // enumeration and its workload gate — gathered in one immutable record.
 // The Config methods in config.go, the Machine cost model in cost.go and
 // the enumeration in enumerate.go are all table lookups over these specs,
@@ -14,6 +16,8 @@ type kindSpec struct {
 	// letter is the one-character type-map legend (skyline rendering).
 	letter byte
 
+	// build constructs an empty filter of (at least) mBits; Config.New.
+	build func(c Config, mBits uint64) (core.Filter, error)
 	// validate checks the family's parameters embedded in c.
 	validate func(c Config) error
 	// render prints the configuration in the paper's notation.
@@ -73,6 +77,16 @@ func specOf(k Kind) *kindSpec {
 		return kindSpecs[k]
 	}
 	return nil
+}
+
+// asFilter passes a kernel constructor's result on as a core.Filter,
+// returning a nil Filter on error rather than a nil pointer wrapped in a
+// non-nil interface.
+func asFilter[F core.Filter](f F, err error) (core.Filter, error) {
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // SizedByKeys reports whether the family's footprint is a function of the

@@ -1,5 +1,10 @@
 package model
 
+import (
+	"perfilter/internal/blocked"
+	"perfilter/internal/core"
+)
+
 // The blocked-Bloom family (register-blocked, plain blocked, sectorized,
 // cache-sectorized — distinguished by geometry). Always enumerated: it is
 // one of the two families of the paper's headline sweep.
@@ -7,6 +12,9 @@ var blockedSpec = kindSpec{
 	name:   "bloom",
 	letter: 'B',
 
+	build: func(c Config, mBits uint64) (core.Filter, error) {
+		return asFilter(blocked.New(c.Bloom, mBits))
+	},
 	validate:  func(c Config) error { return c.Bloom.Validate() },
 	render:    func(c Config) string { return c.Bloom.String() },
 	fpr:       func(c Config, mBits, n uint64) float64 { return c.Bloom.FPR(mBits, n) },

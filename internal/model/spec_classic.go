@@ -1,5 +1,10 @@
 package model
 
+import (
+	"perfilter/internal/bloom"
+	"perfilter/internal/core"
+)
+
 // The classic (unblocked) Bloom baseline. Gated behind FullSpace: the
 // paper includes it in sweeps to demonstrate it is never
 // performance-optimal.
@@ -7,6 +12,9 @@ var classicSpec = kindSpec{
 	name:   "classic",
 	letter: 'S', // the SIMD classic baseline, per the paper's naming
 
+	build: func(c Config, mBits uint64) (core.Filter, error) {
+		return asFilter(bloom.New(c.Classic, mBits))
+	},
 	validate:  func(c Config) error { return c.Classic.Validate() },
 	render:    func(c Config) string { return c.Classic.String() },
 	fpr:       func(c Config, mBits, n uint64) float64 { return c.Classic.FPR(mBits, n) },

@@ -1,6 +1,10 @@
 package model
 
-import "perfilter/internal/fpr"
+import (
+	"perfilter/internal/core"
+	"perfilter/internal/cuckoo"
+	"perfilter/internal/fpr"
+)
 
 // The cuckoo-filter family. Always enumerated (the paper's other headline
 // family); feasibility enforces the practical load-factor limit per
@@ -9,6 +13,9 @@ var cuckooSpec = kindSpec{
 	name:   "cuckoo",
 	letter: 'C',
 
+	build: func(c Config, mBits uint64) (core.Filter, error) {
+		return asFilter(cuckoo.New(c.Cuckoo, mBits))
+	},
 	validate: func(c Config) error { return c.Cuckoo.Validate() },
 	render:   func(c Config) string { return c.Cuckoo.String() },
 	fpr:      func(c Config, mBits, n uint64) float64 { return c.Cuckoo.FPR(mBits, n) },

@@ -1,5 +1,10 @@
 package model
 
+import (
+	"perfilter/internal/core"
+	"perfilter/internal/exact"
+)
+
 // The exact Robin Hood hash set: f = 0, ~75+ bits/key. Gated behind
 // AllowExact, sized by key count (ExactBits), and exempt from the
 // bits-per-key budget — sweeps admit it under SweepOpts.MaxExactBytes
@@ -8,6 +13,9 @@ var exactSpec = kindSpec{
 	name:   "exact",
 	letter: 'E',
 
+	build: func(_ Config, mBits uint64) (core.Filter, error) {
+		return exact.New(int(max(mBits/64, 1))), nil
+	},
 	validate: func(Config) error { return nil },
 	render:   func(Config) string { return "exact[robin-hood]" },
 	fpr:      func(Config, uint64, uint64) float64 { return 0 },

@@ -1,5 +1,10 @@
 package model
 
+import (
+	"perfilter/internal/core"
+	"perfilter/internal/xor"
+)
+
 // The immutable xor/fuse family (xor8, xor16 and their binary-fuse
 // layouts). Gated behind ReadMostly — a build-once table absorbs writes
 // only through a key-log rebuild — sized by key count
@@ -9,6 +14,9 @@ var xorSpec = kindSpec{
 	name:   "xor",
 	letter: 'X',
 
+	build: func(c Config, mBits uint64) (core.Filter, error) {
+		return asFilter(xor.New(c.Xor, mBits))
+	},
 	validate: func(c Config) error { return c.Xor.Validate() },
 	render:   func(c Config) string { return c.Xor.String() },
 	fpr:      func(c Config, mBits, n uint64) float64 { return c.Xor.FPR() },

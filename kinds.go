@@ -1,54 +1,27 @@
 package perfilter
 
 import (
-	"fmt"
-
 	"perfilter/internal/blocked"
-	"perfilter/internal/bloom"
-	"perfilter/internal/cuckoo"
-	"perfilter/internal/exact"
 	"perfilter/internal/magic"
 	"perfilter/internal/model"
-	"perfilter/internal/xor"
 )
 
-// The per-kind dispatch of the root package: construction, wire magics,
-// name resolution and default configurations are switches over the closed
-// set of families. The analytic side (validation, FPR, cost, enumeration,
-// mutability) is internal/model's kind-spec table. TestKinds checks that
-// every model kind has a case in each switch here and in Unmarshal.
+// The per-kind dispatch of the root package: wire magics, name resolution
+// and default configurations are switches over the closed set of
+// families. Construction and the analytic side (validation, FPR, cost,
+// enumeration, mutability) are internal/model's kind-spec table. TestKinds
+// checks that every model kind has a case in each switch here and in
+// Unmarshal.
 
-// newFilter builds a filter of (at least) mBits for mc. A shard always
-// reads mBits as bits; a standalone exact set reads an mBits below 2^16
-// as a key-count hint, so a small per-shard split never flips into the
-// hint regime.
+// newFilter builds a filter of (at least) mBits for mc through the model's
+// kind table. A shard always reads mBits as bits; a standalone exact set
+// reads an mBits below 2^16 as a key-count hint, so a small per-shard
+// split never flips into the hint regime.
 func newFilter(mc model.Config, mBits uint64, shard bool) (Filter, error) {
-	switch mc.Kind {
-	case model.KindBlockedBloom:
-		return asFilter(blocked.New(mc.Bloom, mBits))
-	case model.KindClassicBloom:
-		return asFilter(bloom.New(mc.Classic, mBits))
-	case model.KindCuckoo:
-		return asFilter(cuckoo.New(mc.Cuckoo, mBits))
-	case model.KindXor:
-		return asFilter(xor.New(mc.Xor, mBits))
-	case model.KindExact:
-		if !shard && mBits < 1<<16 {
-			return exact.New(int(mBits)), nil
-		}
-		return exact.New(int(max(mBits/64, 1))), nil
+	if mc.Kind == model.KindExact && !shard && mBits < 1<<16 {
+		mBits *= 64 // the table's 64 bits per slot of capacity
 	}
-	return nil, fmt.Errorf("perfilter: no filter family for kind %s", mc.Kind)
-}
-
-// asFilter passes a kernel constructor's result on as a Filter, returning
-// a nil Filter on error rather than a nil pointer wrapped in a non-nil
-// interface.
-func asFilter[F Filter](f F, err error) (Filter, error) {
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return mc.New(mBits)
 }
 
 // wireMagic is the leading uint32 of kind k's encoding, or 0 for an

@@ -154,3 +154,31 @@ func TestKinds(t *testing.T) {
 
 // exactSizeBits is the footprint of an exact set pre-sized for n keys.
 func exactSizeBits(n uint64) uint64 { return exact.New(int(n)).SizeBits() }
+
+// TestModelNewMatchesNew checks that the model's build table, which the
+// calibration and the measured figures construct through, builds the same
+// type and size as New for every kind's default configuration.
+func TestModelNewMatchesNew(t *testing.T) {
+	for k := range Kind(model.NumKinds()) {
+		cfg := DefaultConfig(k)
+		mc, err := cfg.toModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := New(cfg, 1<<16)
+		if err != nil {
+			t.Fatalf("%s: New: %v", k, err)
+		}
+		g, err := mc.New(1 << 16)
+		if err != nil {
+			t.Fatalf("%s: model.Config.New: %v", k, err)
+		}
+		if reflect.TypeOf(g) != reflect.TypeOf(f) || g.SizeBits() != f.SizeBits() {
+			t.Errorf("%s: model builds %T of %d bits, New %T of %d bits",
+				k, g, g.SizeBits(), f, f.SizeBits())
+		}
+	}
+	if _, err := (model.Config{Kind: model.Kind(model.NumKinds())}).New(1 << 16); err == nil {
+		t.Error("model.Config.New built an invalid kind")
+	}
+}
